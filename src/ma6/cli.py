@@ -2,7 +2,7 @@
 and demo subcommands over the JSON form/field documents.
 
 Exit codes: 0 pass, 1 check failed, 2 invalid input, 3 non-effective form,
-4 degenerate form.
+4 degenerate form (or a float form too near an orbit boundary to classify).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import casestudies
-from .classify import build_gcy, classify, table1_form
+from .classify import UnclassifiableError, build_gcy, classify, table1_form
 from .documents import (
     DocumentError,
     dump_report,
@@ -81,7 +81,10 @@ def _load_form(args):
     except DocumentError as e:
         raise CliError(EXIT_INVALID, str(e))
     if args.scalar == "float":
-        form = KForm(form.grade, [float(c) for c in form.coeffs])
+        try:
+            form = KForm(form.grade, [float(c) for c in form.coeffs])
+        except OverflowError as e:
+            raise CliError(EXIT_INVALID, f"coefficient too large for a float: {e}")
     return form
 
 
@@ -147,6 +150,8 @@ def cmd_classify(args):
         cls, report = classify(form, s, tol=tol)
     except EffectivenessError as e:
         raise CliError(EXIT_NOT_EFFECTIVE, str(e))
+    except UnclassifiableError as e:
+        raise CliError(EXIT_DEGENERATE, f"near an orbit boundary: {e}")
     return {
         "command": "classify",
         "class": cls.value,

@@ -15,6 +15,7 @@ rationals, e.g. {"0,1,0,0,2,0": "-3"} for −3·q2·p2².
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .exterior import COMBS, DIM, KForm, POS, dim_grade
@@ -38,6 +39,8 @@ def _parse_scalar(v, mode):
             raise DocumentError(f"bad rational {v!r}") from e
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise DocumentError(f"float mode needs numbers, got {v!r}")
+    if not math.isfinite(v):
+        raise DocumentError(f"float mode needs finite numbers, got {v!r}")
     return float(v)
 
 

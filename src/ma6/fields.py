@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .exterior import COMBS, DIM, KForm, POS, dim_grade, merge_sign
+from .exterior import COMBS, DIM, KForm, POS, _det, dim_grade, merge_sign
 from .hitchin import dual_form, pfaffian
 from .poly import Poly
 
@@ -43,8 +43,10 @@ def _entry_eval(entry, x):
 class FormField:
     """A grade-k differential form on a 6-dim chart.
 
-    ``coeffs`` is a dense tuple over lexicographic multi-indices; each entry
-    is a Poly, a constant scalar, or a callable point -> scalar.
+    A coefficient field has ``coeffs``, a dense tuple over lexicographic
+    multi-indices; each entry is a Poly, a constant scalar, or a callable
+    point -> scalar.  A pointwise field (``from_pointwise``) is one function
+    point -> KForm, called once per evaluated point; it has no ``coeffs``.
     """
 
     def __init__(self, grade, coeffs):
@@ -53,6 +55,7 @@ class FormField:
             raise ValueError(f"grade {grade} needs {dim_grade(grade)} coefficients")
         self.grade = grade
         self.coeffs = coeffs
+        self.fn = None
 
     @classmethod
     def constant(cls, form):
@@ -60,43 +63,29 @@ class FormField:
 
     @classmethod
     def from_pointwise(cls, grade, fn):
-        """Wrap a function point -> KForm as a field (shared evaluation)."""
-        return cls(grade, tuple(_PointwiseCoeff(fn, i) for i in range(dim_grade(grade))))
+        """The field x -> fn(x) for a function point -> grade-k KForm."""
+        fld = cls.__new__(cls)
+        fld.grade, fld.coeffs, fld.fn = grade, None, fn
+        return fld
 
     def is_polynomial(self):
-        return all(isinstance(c, Poly) or not callable(c) for c in self.coeffs)
+        return self.fn is None and all(isinstance(c, Poly) or not callable(c)
+                                       for c in self.coeffs)
 
     def evaluate(self, x):
+        if self.fn is not None:
+            return self.fn(x)
         return KForm(self.grade, tuple(_entry_eval(c, x) for c in self.coeffs))
 
 
-class _PointwiseCoeff:
-    """One coefficient of a pointwise-defined field, with a shared cache."""
-
-    def __init__(self, fn, index):
-        self.fn = fn
-        self.index = index
-        self._cache = {}
-
-    def __call__(self, x):
-        key = tuple(x)
-        if key not in self._cache:
-            if len(self._cache) > 64:
-                self._cache.clear()
-            self._cache[key] = self.fn(x)
-        return self._cache[key].coeffs[self.index]
-
-
 def _to_poly(entry):
-    if isinstance(entry, Poly):
-        return entry
-    if callable(entry):
-        raise ValueError("exact exterior derivative needs polynomial coefficients")
-    return Poly.const(entry)
+    return entry if isinstance(entry, Poly) else Poly.const(entry)
 
 
 def d_exact(fld):
     """Exact exterior derivative of a polynomial form field."""
+    if not fld.is_polynomial():
+        raise ValueError("exact exterior derivative needs polynomial coefficients")
     k = fld.grade
     out = [Poly({}) for _ in range(dim_grade(k + 1))]
     for idx, entry in zip(COMBS[k], fld.coeffs):
@@ -112,8 +101,9 @@ def d_exact(fld):
     return FormField(k + 1, out)
 
 
-def _assemble_d(partials, k):
+def _assemble_d(partials):
     """Exterior derivative from the 6 coefficient-partial KForms."""
+    k = partials[0].grade
     out = [0.0] * dim_grade(k + 1)
     for a in range(1, DIM + 1):
         pk = partials[a - 1]
@@ -126,9 +116,9 @@ def _assemble_d(partials, k):
     return KForm(k + 1, out)
 
 
-def d_numeric(fld, x, h=DEFAULT_H):
-    """Central-difference exterior derivative of any field at a point."""
-    k = fld.grade
+def _d_stencil(fn, x, h):
+    """Central-difference exterior derivatives at x of the forms in the tuple
+    fn(point); fn is called once per stencil point."""
     x = list(x)
     partials = []
     for a in range(DIM):
@@ -136,8 +126,13 @@ def d_numeric(fld, x, h=DEFAULT_H):
         xm = list(x)
         xp[a] += h
         xm[a] -= h
-        partials.append((fld.evaluate(xp) - fld.evaluate(xm)) * (1.0 / (2 * h)))
-    return _assemble_d(partials, k)
+        partials.append([(p - m) * (1.0 / (2 * h)) for p, m in zip(fn(xp), fn(xm))])
+    return tuple(_assemble_d(ps) for ps in zip(*partials))
+
+
+def d_numeric(fld, x, h=DEFAULT_H):
+    """Central-difference exterior derivative of any field at a point."""
+    return _d_stencil(lambda y: (fld.evaluate(y),), x, h)[0]
 
 
 class DiffeoMap:
@@ -178,20 +173,6 @@ class DiffeoMap:
         return [[_to_poly(c).diff(a) for a in range(DIM)] for c in self.components]
 
 
-def _poly_det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3:
-        a, b, c = rows[0]
-        d, e, f = rows[1]
-        g, h, i = rows[2]
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    raise ValueError("polynomial determinants implemented up to 3x3")
-
-
 def pullback_field_poly(phi, fld):
     """Symbolic pullback φ*ω of a polynomial field along a polynomial map."""
     if not (phi.is_polynomial() and fld.is_polynomial()):
@@ -206,8 +187,8 @@ def pullback_field_poly(phi, fld):
             p = _to_poly(entry)
             if p.is_zero():
                 continue
-            minor = _poly_det([[J[i - 1][j - 1] for j in Jidx] for i in Iidx])
-            if minor.is_zero():
+            minor = _det([[J[i - 1][j - 1] for j in Jidx] for i in Iidx])
+            if minor == 0:
                 continue
             acc = acc + p.subst(comps) * minor
         out.append(acc)
@@ -338,20 +319,10 @@ def ma_operator(fld, section, x):
     grad = section.grad(x)
     H = section.hess(x)
     point = list(x) + list(grad)
-    omega = fld.evaluate(point)
     # rows of the graph map's Jacobian: identity over the base, H over fibers
     J = [[1 if i == j else 0 for j in range(3)] for i in range(3)] + \
         [[H[i][j] for j in range(3)] for i in range(3)]
-    val = 0
-    for idx, c in zip(COMBS[3], omega.coeffs):
-        if c == 0:
-            continue
-        sub = [J[i - 1] for i in idx]
-        det = (sub[0][0] * (sub[1][1] * sub[2][2] - sub[1][2] * sub[2][1])
-               - sub[0][1] * (sub[1][0] * sub[2][2] - sub[1][2] * sub[2][0])
-               + sub[0][2] * (sub[1][0] * sub[2][1] - sub[1][1] * sub[2][0]))
-        val = val + c * det
-    return val
+    return fld.evaluate(point).pullback(J)[0]
 
 
 class Submanifold3:
@@ -425,26 +396,31 @@ def check_generalized_solution(L, fld, s, params, tol=DEFAULT_TOL):
 
 # --- pointwise invariants of a 3-form field -------------------------------
 
-def _degeneracy_threshold(omega):
-    return 1e-8 * (1 + float(omega.max_abs())) ** 4
-
-
-def lambda_field(fld, s, x):
-    """λ(ω(x)); raises DegeneratePointError below the degeneracy threshold."""
-    omega = fld.evaluate(x)
+def _checked_pfaffian(omega, s, x):
     lam = pfaffian(omega, s)
-    if abs(lam) < _degeneracy_threshold(omega):
+    if abs(lam) < 1e-8 * (1 + float(omega.max_abs())) ** 4:
         raise DegeneratePointError(f"|λ| below threshold at {tuple(x)}")
     return lam
 
 
+def lambda_field(fld, s, x):
+    """λ(ω(x)); raises DegeneratePointError below the degeneracy threshold."""
+    return _checked_pfaffian(fld.evaluate(x), s, x)
+
+
+def _normalizer(fld, s, x):
+    """ω(x) and |λ(ω(x))|^(−1/4) from one evaluation of the field, behind the
+    degeneracy guard of lambda_field."""
+    omega = fld.evaluate(x)
+    return omega, 1.0 / abs(float(_checked_pfaffian(omega, s, x))) ** 0.25
+
+
 def normalized_field(fld, s):
-    """The pointwise |λ|^(−1/4)-normalized field (black-box coefficients)."""
+    """The pointwise |λ|^(−1/4)-normalized field."""
 
     def fn(x):
-        omega = fld.evaluate(x)
-        lam = lambda_field(fld, s, x)
-        return omega * (1.0 / abs(float(lam)) ** 0.25)
+        omega, r = _normalizer(fld, s, x)
+        return omega * r
 
     return FormField.from_pointwise(3, fn)
 
@@ -453,8 +429,8 @@ def dual_field(fld, s):
     """The pointwise Hitchin-dual field ω̂(x)."""
 
     def fn(x):
-        lambda_field(fld, s, x)  # degeneracy guard
-        return dual_form(fld.evaluate(x), s)
+        omega, _ = _normalizer(fld, s, x)  # degeneracy guard
+        return dual_form(omega, s)
 
     return FormField.from_pointwise(3, fn)
 
@@ -480,15 +456,17 @@ class CheckReport:
 def closedness_check(fld, s, points, h=DEFAULT_H, tol=DEFAULT_TOL):
     """d of both |λ|^(−1/4)-normalized fields (ω and ω̂) at sample points."""
     _lambda_signs(fld, s, points)
-    nf = normalized_field(fld, s)
-    duf = dual_field(fld, s)
-    ndual = FormField.from_pointwise(
-        3, lambda x: duf.evaluate(x) * (1.0 / abs(float(lambda_field(fld, s, x))) ** 0.25))
+
+    def normalized_pair(x):
+        omega, r = _normalizer(fld, s, x)
+        return omega * r, dual_form(omega, s) * r
+
     res_n = 0.0
     res_d = 0.0
     for x in points:
-        res_n = max(res_n, float(d_numeric(nf, x, h).max_abs()))
-        res_d = max(res_d, float(d_numeric(ndual, x, h).max_abs()))
+        dn, dd = _d_stencil(normalized_pair, x, h)
+        res_n = max(res_n, float(dn.max_abs()))
+        res_d = max(res_d, float(dd.max_abs()))
     worst = max(res_n, res_d)
     return CheckReport(passed=worst <= tol, max_residual=worst,
                        n_points=len(points), tol=tol,
@@ -501,18 +479,21 @@ def gcy_integrability_check(fld, s, points, h=DEFAULT_H, tol=DEFAULT_TOL):
     from .hitchin import split_pair, theta_pairing
 
     _lambda_signs(fld, s, points)
-    nf = normalized_field(fld, s)
 
     def split_at(x):
-        return split_pair(nf.evaluate(x), s)
+        omega, r = _normalizer(fld, s, x)
+        return split_pair(omega * r, s)
 
-    alpha_f = FormField.from_pointwise(3, lambda x: split_at(x).alpha)
-    beta_f = FormField.from_pointwise(3, lambda x: split_at(x).beta)
+    def alpha_beta(x):
+        sp = split_at(x)
+        return sp.alpha, sp.beta
+
     res = 0.0
     ratios = []
     for x in points:
-        res = max(res, float(d_numeric(alpha_f, x, h).max_abs()))
-        res = max(res, float(d_numeric(beta_f, x, h).max_abs()))
+        da, db = _d_stencil(alpha_beta, x, h)
+        res = max(res, float(da.max_abs()))
+        res = max(res, float(db.max_abs()))
         sp = split_at(x)
         ratios.append(complex(_as_complex(theta_pairing(sp.alpha, sp.beta, s))) / -6)
     ratio_dev = max(abs(r - ratios[0]) for r in ratios)
@@ -574,14 +555,9 @@ def christoffel(g, x, h=DEFAULT_H):
         e[a] = h
         dg[a] = (g(x + e) - g(x - e)) / (2 * h)
     ginv = np.linalg.inv(g(x))
-    gamma = np.zeros((n, n, n))
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                gamma[k, i, j] = 0.5 * sum(
-                    ginv[k, l] * (dg[i][j, l] + dg[j][i, l] - dg[l][i, j])
-                    for l in range(n))
-    return gamma
+    # dg[i][j, l] + dg[j][i, l] − dg[l][i, j], indexed [i, j, l]
+    t = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
+    return 0.5 * np.einsum("kl,ijl->kij", ginv, t)
 
 
 def riemann(g, x, h=DEFAULT_H):
@@ -594,16 +570,11 @@ def riemann(g, x, h=DEFAULT_H):
         e[a] = h
         dgamma[a] = (christoffel(g, x + e, h) - christoffel(g, x - e, h)) / (2 * h)
     gam = christoffel(g, x, h)
-    R = np.zeros((n, n, n, n))
-    for l in range(n):
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    R[l, k, i, j] = (dgamma[i][l, j, k] - dgamma[j][l, i, k]
-                                     + sum(gam[l, i, m] * gam[m, j, k]
-                                           - gam[l, j, m] * gam[m, i, k]
-                                           for m in range(n)))
-    return R
+    # ∂_iΓ^l_{jk} and Γ^l_{im}Γ^m_{jk}, indexed [l, k, i, j]; the other two
+    # terms are these with i and j swapped
+    dgam = np.einsum("iljk->lkij", dgamma)
+    gg = np.einsum("lim,mjk->lkij", gam, gam)
+    return dgam - dgam.transpose(0, 1, 3, 2) + gg - gg.transpose(0, 1, 3, 2)
 
 
 def flatness_check(g, points, h=DEFAULT_H, tol=CURVATURE_TOL):

@@ -76,13 +76,6 @@ def mat_mul(A, B):
             for i in range(len(A))]
 
 
-def mat_trace(A):
-    t = 0
-    for i in range(len(A)):
-        t = t + A[i][i]
-    return t
-
-
 def k_squared(omega, space_or_theta):
     K = hitchin_k(omega, space_or_theta)
     return mat_mul(K, K)
@@ -90,15 +83,13 @@ def k_squared(omega, space_or_theta):
 
 def pfaffian(omega, space_or_theta):
     """Hitchin pfaffian λ = (1/6) tr(K²)."""
-    t = mat_trace(k_squared(omega, space_or_theta))
+    K = hitchin_k(omega, space_or_theta)
+    t = 0
+    for i in range(DIM):
+        t = t + sum(K[i][k] * K[k][i] for k in range(DIM))
     if isinstance(t, float):
         return t / 6.0
     return Fraction(t, 6) if isinstance(t, int) else t / 6
-
-
-def pullback_3form(K, omega):
-    """(K*ω)(X,Y,Z) = ω(KX, KY, KZ) for a 6x6 matrix K."""
-    return omega.pullback(K)
 
 
 def _abs_pow(lam, num, den, exact):
@@ -124,7 +115,7 @@ def dual_form(omega, space_or_theta):
     exact = not isinstance(lam, float)
     factor = 1 / _abs_pow(lam, 3, 2, exact)
     K = hitchin_k(omega, theta)
-    return pullback_3form(K, omega) * factor
+    return omega.pullback(K) * factor
 
 
 class SplitPair:
@@ -152,7 +143,7 @@ def split_pair(omega, space_or_theta):
     exact = not isinstance(lam, float)
     factor = 1 / _abs_pow(lam, 3, 2, exact)
     K = hitchin_k(omega, theta)
-    dual = pullback_3form(K, omega) * factor
+    dual = omega.pullback(K) * factor
     half = Fraction(1, 2) if exact else 0.5
     if lam > 0:
         alpha = (omega + dual) * half

@@ -197,3 +197,30 @@ def test_cli_reports_reproducible():
     _, out1 = run_cli(args)
     _, out2 = run_cli(args)
     assert out1 == out2
+
+
+def test_cli_classify_near_boundary_exit4():
+    """SecondDerivative + 1e-5·Laplace in floats: λ within the zero band but
+    q_ω of rank 2, which no orbit class has."""
+    doc = json.dumps({"version": 1, "scalar": "float", "grade": 3,
+                      "coefficients": {"234": 1 + 1e-5, "135": -1e-5, "126": 1e-5}})
+    code, out = run_cli(["classify", "--scalar", "float"], stdin_text=doc)
+    assert code == 4
+    assert out == ""
+
+
+def test_cli_non_finite_coefficient_exit2():
+    for bad in (float("nan"), float("inf")):
+        doc = json.dumps({"version": 1, "scalar": "float", "grade": 3,
+                          "coefficients": {"123": bad, "456": 1.0}})
+        code, out = run_cli(["classify", "--scalar", "float"], stdin_text=doc)
+        assert code == 2
+        assert out == ""
+
+
+def test_cli_float_overflow_exit2():
+    doc = json.dumps({"version": 1, "scalar": "exact", "grade": 3,
+                      "coefficients": {"123": "1" + "0" * 400, "456": "1"}})
+    code, out = run_cli(["classify", "--scalar", "float"], stdin_text=doc)
+    assert code == 2
+    assert out == ""

@@ -224,3 +224,97 @@ def test_curvature_of_sphere_block():
     want = math.sin(x[0]) ** 2
     assert abs(R[0, 1, 0, 1] - want) / want < 0.05
     assert not flatness_check(MetricField(g), [x]).passed
+
+
+def test_pullback_field_poly_grade_four(space):
+    """φ*(Ω∧Ω) = Ω∧Ω for the symplectomorphism of the semi-geostrophic
+    reduction; grade-4 minors need the general determinant."""
+    from ma6.casestudies import cs_reduction
+    from ma6.exterior import wedge
+
+    om2 = FormField.constant(wedge(space.omega, space.omega))
+    pb = pullback_field_poly(cs_reduction(2), om2)
+    assert pb.grade == 4
+    assert all(p == c for p, c in zip(pb.coeffs, om2.coeffs))
+    f = FormField(0, [Poly.var(0) + Poly.var(5)])
+    assert pullback_field_poly(cs_reduction(2), f).coeffs[0] == \
+        Poly.var(0) + 2 * Poly.var(5) - Poly.var(2)
+
+
+def test_pointwise_field_evaluated_once_per_point(space, monkeypatch):
+    """One sample point: 12 stencil points and the point itself.  Each takes
+    one field evaluation, the degeneracy-guard pfaffian and the one inside
+    dual_form (closedness) or split_pair (integrability)."""
+    import ma6.fields
+    import ma6.hitchin
+
+    counts = {"field": 0, "pfaffian": 0}
+    pfaffian = ma6.hitchin.pfaffian
+
+    def counting_pfaffian(*args):
+        counts["pfaffian"] += 1
+        return pfaffian(*args)
+
+    def fn(x):
+        counts["field"] += 1
+        return KForm.basis(1, 2, 3, scale=1.0 + x[3] ** 2) + \
+            KForm.basis(4, 5, 6, scale=1.0)
+
+    monkeypatch.setattr(ma6.hitchin, "pfaffian", counting_pfaffian)
+    monkeypatch.setattr(ma6.fields, "pfaffian", counting_pfaffian)
+    fld = FormField.from_pointwise(3, fn)
+    pts = sample_box([(-0.5, 0.5)] * 6, 1, seed=3)
+    closedness_check(fld, space, pts)
+    assert counts["field"] <= 13
+    assert counts["pfaffian"] <= 26
+    counts["pfaffian"] = 0
+    gcy_integrability_check(fld, space, pts)
+    assert counts["pfaffian"] <= 52
+
+
+def test_pointwise_field_has_no_exact_operations(space):
+    from ma6.documents import DocumentError, serialize_field
+
+    fld = FormField.from_pointwise(3, lambda x: space.omega)
+    assert not fld.is_polynomial()
+    with pytest.raises(ValueError, match="polynomial coefficients"):
+        d_exact(fld)
+    with pytest.raises(ValueError, match="polynomial data"):
+        pullback_field_poly(DiffeoMap([Poly.var(i) for i in range(6)]), fld)
+    with pytest.raises(DocumentError):
+        serialize_field(fld)
+
+
+def test_curvature_matches_loop_reference():
+    """christoffel and riemann against the index-loop definitions, on a
+    metric with every Christoffel symbol and curvature component in play."""
+    from ma6.fields import christoffel
+
+    def g(x):
+        J = np.eye(6)
+        for i in range(6):
+            J[i, (i + 1) % 6] += 0.3 * math.sin(x[i] + 2 * x[(i + 1) % 6])
+        return J.T @ J
+
+    g = MetricField(g)
+    x = np.array([0.3, -0.2, 0.5, 0.1, -0.4, 0.2])
+    h = 1e-4
+
+    def gamma_ref(y):
+        dg = [(g(y + h * e) - g(y - h * e)) / (2 * h) for e in np.eye(6)]
+        ginv = np.linalg.inv(g(y))
+        return np.array([[[0.5 * sum(ginv[k, l] * (dg[i][j, l] + dg[j][i, l] - dg[l][i, j])
+                                     for l in range(6))
+                           for j in range(6)] for i in range(6)] for k in range(6)])
+
+    gam = gamma_ref(x)
+    assert np.allclose(christoffel(g, x, h), gam, rtol=1e-12, atol=1e-12)
+    dgam = [(christoffel(g, x + h * e, h) - christoffel(g, x - h * e, h)) / (2 * h)
+            for e in np.eye(6)]
+    R = riemann(g, x, h)
+    for l, k, i, j in np.ndindex(6, 6, 6, 6):
+        want = (dgam[i][l, j, k] - dgam[j][l, i, k]
+                + sum(gam[l, i, m] * gam[m, j, k] - gam[l, j, m] * gam[m, i, k]
+                      for m in range(6)))
+        assert R[l, k, i, j] == pytest.approx(want, rel=1e-9, abs=1e-9)
+    assert np.abs(R).max() > 1e-2
