@@ -11,7 +11,6 @@ from .exterior import (
     interior_vector,
     rational_sqrt,
     wedge,
-    wedge_all,
 )
 from .symplectic import (
     DegenerateError,

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from scipy.integrate import quad
-
 from .exterior import KForm
 from .fields import DiffeoMap, FormField, SectionMap, Submanifold3
 from .octonion import Octonion, associative_form
@@ -82,6 +80,8 @@ def hess_one_solution(b=1, a=0):
         return math.sqrt(x * y + y * z + z * x)
 
     def f(v):
+        from scipy.integrate import quad
+
         return quad(lambda t: (b + 4 * t ** 3) ** (1 / 3), a, s_of(v))[0]
 
     def grad(v):

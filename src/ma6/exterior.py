@@ -11,6 +11,7 @@ coordinates (q1, q2, q3, p1, p2, p3).
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -227,12 +228,46 @@ def wedge(a, b):
     return KForm(j + k, out)
 
 
-def wedge_all(*forms):
-    it = iter(forms)
-    acc = next(it)
-    for f in it:
-        acc = wedge(acc, f)
-    return acc
+class QuadraticTable:
+    """A tuple of quadratic polynomials in the coefficients w of a form.
+
+    Built from one mapping {(I, J): c} per entry, where I and J index
+    ``coeffs``; evaluating gives, per entry, Σ c·w_I·w_J.  Every coefficient
+    is kept exactly and as a float: float input is evaluated in floats only,
+    and rational input (int/Fraction, with rational c) in Python ints over a
+    common denominator, so it stays exact.  Other real input (rational w
+    with a float table) is evaluated in floats; complex and ExactComplex
+    input uses the exact coefficients.
+    """
+
+    __slots__ = ("exact", "floats", "ints", "den")
+
+    def __init__(self, entries):
+        exact = tuple(tuple((i, j, c) for (i, j), c in sorted(e.items()) if c != 0)
+                      for e in entries)
+        self.exact = exact
+        self.floats = tuple(tuple((i, j, float(c)) for i, j, c in e) for e in exact)
+        cs = [c for e in exact for _, _, c in e]
+        if all(isinstance(c, (int, Fraction)) for c in cs):
+            den = math.lcm(*(c.denominator for c in cs))
+            self.den = den
+            self.ints = tuple(tuple((i, j, c.numerator * (den // c.denominator))
+                                    for i, j, c in e) for e in exact)
+        else:
+            self.den = self.ints = None
+
+    def __call__(self, w):
+        if self.ints is not None and all(isinstance(x, (int, Fraction)) for x in w):
+            # clear the denominators of w, sum in ints, divide once
+            d = math.lcm(*(x.denominator for x in w))
+            n = [x.numerator * (d // x.denominator) for x in w]
+            den = self.den * d * d
+            return tuple(Fraction(sum([c * n[i] * n[j] for i, j, c in e]), den)
+                         for e in self.ints)
+        if all(isinstance(x, (int, float, Fraction)) for x in w):
+            w = [float(x) for x in w]
+            return tuple(sum([c * w[i] * w[j] for i, j, c in e], 0.0) for e in self.floats)
+        return tuple(sum(c * w[i] * w[j] for i, j, c in e) for e in self.exact)
 
 
 def interior_vector(X, omega):

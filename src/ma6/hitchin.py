@@ -9,17 +9,17 @@ structure on the (q, p) splitting.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 from .exterior import (
-    COMBS,
     DIM,
     POS,
     ExactComplex,
     GradeError,
+    QuadraticTable,
     _im,
-    KForm,
-    interior_vector,
     merge_sign,
     rational_sqrt,
     wedge,
@@ -57,18 +57,43 @@ def a_iso(psi, theta):
     return v
 
 
+@lru_cache(maxsize=None)
+def _k_table():
+    """θ·K as a quadratic table in the coefficients of ω, one entry per K
+    entry in row-major order, from K(e_j)θ = A(i_{e_j}ω ∧ ω).
+
+    i_{e_j}ω has coefficient ±ω_{P∪{j}} on e_P (the sign of e_j ∧ e_P), and
+    A reads component i of a 5-form off its coefficient on the complement
+    C of i, with the sign of e_i ∧ e_C; that coefficient pairs each e_P,
+    P ⊂ C, with e_{C∖P}.
+    """
+    entries = []
+    for i in range(1, DIM + 1):
+        comp = tuple(k for k in range(1, DIM + 1) if k != i)
+        sign_i, _ = merge_sign((i,), comp)
+        for j in range(1, DIM + 1):
+            terms = {}
+            for P in itertools.combinations(comp, 2):
+                if j in P:
+                    continue
+                sign_j, I = merge_sign((j,), P)
+                R = tuple(k for k in comp if k not in P)
+                sign_pr, _ = merge_sign(P, R)
+                key = tuple(sorted((POS[3][I], POS[3][R])))
+                terms[key] = terms.get(key, 0) + sign_i * sign_j * sign_pr
+            entries.append(terms)
+    return QuadraticTable(entries)
+
+
 def hitchin_k(omega, space_or_theta):
     """Hitchin's map K with K(X)θ = A(i_X ω ∧ ω); returned as a 6x6 array
     whose column j is K(e_{j+1})."""
     theta = _theta_of(space_or_theta)
     if omega.grade != 3:
         raise GradeError("hitchin_k takes a 3-form")
-    cols = []
-    for j in range(DIM):
-        ej = [0] * DIM
-        ej[j] = 1
-        cols.append(a_iso(wedge(interior_vector(ej, omega), omega), theta))
-    return [[cols[j][i] for j in range(DIM)] for i in range(DIM)]
+    t = theta.coeffs[0]
+    k = _k_table()(omega.coeffs)
+    return [[k[DIM * i + j] / t for j in range(DIM)] for i in range(DIM)]
 
 
 def mat_mul(A, B):
@@ -81,15 +106,19 @@ def k_squared(omega, space_or_theta):
     return mat_mul(K, K)
 
 
-def pfaffian(omega, space_or_theta):
-    """Hitchin pfaffian λ = (1/6) tr(K²)."""
-    K = hitchin_k(omega, space_or_theta)
+def _lambda_of_k(K):
+    """λ = (1/6) tr(K²) from the K-map."""
     t = 0
     for i in range(DIM):
         t = t + sum(K[i][k] * K[k][i] for k in range(DIM))
     if isinstance(t, float):
         return t / 6.0
     return Fraction(t, 6) if isinstance(t, int) else t / 6
+
+
+def pfaffian(omega, space_or_theta):
+    """Hitchin pfaffian λ = (1/6) tr(K²)."""
+    return _lambda_of_k(hitchin_k(omega, space_or_theta))
 
 
 def _abs_pow(lam, num, den, exact):
@@ -108,13 +137,12 @@ def _abs_pow(lam, num, den, exact):
 
 def dual_form(omega, space_or_theta):
     """Hitchin's dual form ω̂ = |λ|^(−3/2) K*ω (requires λ ≠ 0)."""
-    theta = _theta_of(space_or_theta)
-    lam = pfaffian(omega, theta)
+    K = hitchin_k(omega, space_or_theta)
+    lam = _lambda_of_k(K)
     if lam == 0:
         raise DegenerateFormError("degenerate 3-form has no dual")
     exact = not isinstance(lam, float)
     factor = 1 / _abs_pow(lam, 3, 2, exact)
-    K = hitchin_k(omega, theta)
     return omega.pullback(K) * factor
 
 
@@ -137,12 +165,12 @@ class SplitPair:
 
 def split_pair(omega, space_or_theta):
     theta = _theta_of(space_or_theta)
-    lam = pfaffian(omega, theta)
+    K = hitchin_k(omega, theta)
+    lam = _lambda_of_k(K)
     if lam == 0:
         raise DegenerateFormError("cannot split a degenerate 3-form")
     exact = not isinstance(lam, float)
     factor = 1 / _abs_pow(lam, 3, 2, exact)
-    K = hitchin_k(omega, theta)
     dual = omega.pullback(K) * factor
     half = Fraction(1, 2) if exact else 0.5
     if lam > 0:

@@ -3,11 +3,21 @@ the characteristic pencil, and the sp(3) membership test."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .exterior import COMBS, DIM, KForm, interior_vector, wedge
-from .symplectic import EffectivenessError, bot, is_effective
+from .exterior import (
+    COMBS,
+    DIM,
+    POS,
+    QuadraticTable,
+    interior_vector,
+    merge_sign,
+    wedge,
+)
+from .symplectic import EffectivenessError, is_effective
 from .hitchin import mat_mul
 
 
@@ -47,25 +57,54 @@ class CubicPencil:
     c0: object
 
 
+# the entries (a, b), a ≤ b, of a symmetric 6x6 matrix in row order
+_UPPER = list(itertools.combinations_with_replacement(range(DIM), 2))
+
+
+@lru_cache(maxsize=32, typed=True)
+def _q_table(*x_omega):
+    """Q as a quadratic table in the coefficients of ω, one entry per
+    _UPPER pair, for the space with dual bivector x_omega.
+
+    Q_ab = −¼ ⊥²(i_{e_a}ω ∧ i_{e_b}ω).  ⊥ is i_{X_Ω} with i_{X∧Y} = i_Y ∘ i_X,
+    so ⊥² of a basis 4-form e_L sums x_P·x_R·e_L(e_P, e_R) over the splits
+    L = P ⊔ R into pairs; i_{e_a}ω has coefficient ±ω_{P∪{a}} on e_P (the
+    sign of e_a ∧ e_P), and the wedge sends e_P ∧ e_R to ±e_L.
+    """
+    x = dict(zip(COMBS[2], x_omega))
+    entries = [{} for _ in _UPPER]
+    for L in COMBS[4]:
+        splits = []
+        for P in itertools.combinations(L, 2):
+            R = tuple(k for k in L if k not in P)
+            splits.append((P, R, merge_sign(P, R)[0]))
+        bot2 = sum(sign * x[P] * x[R] for P, R, sign in splits if x[P] and x[R])
+        if bot2 == 0:
+            continue
+        # integer multiplicities of e_L first, one rational product each after
+        mult = {}
+        for P, R, sign in splits:
+            for n, (a, b) in enumerate(_UPPER):
+                sign_a, I = merge_sign((a + 1,), P)
+                sign_b, J = merge_sign((b + 1,), R)
+                if sign_a and sign_b:
+                    key = (n, *sorted((POS[3][I], POS[3][J])))
+                    mult[key] = mult.get(key, 0) + sign * sign_a * sign_b
+        c = Fraction(-1, 4) * bot2
+        for (n, i, j), m in mult.items():
+            entries[n][i, j] = entries[n].get((i, j), 0) + m * c
+    return QuadraticTable(entries)
+
+
 def q_form(omega, s, tol=0):
     """Q with Q(X) = −(1/4) ⊥²(i_X ω ∧ i_X ω); requires ω effective."""
     if omega.grade != 3:
         raise ValueError("q_form takes a 3-form")
     if not is_effective(s, omega, tol=tol):
         raise EffectivenessError("q_form requires an effective 3-form")
-    contr = []
-    for a in range(DIM):
-        ea = [0] * DIM
-        ea[a] = 1
-        contr.append(interior_vector(ea, omega))
-    exact = not any(isinstance(c, float) for c in omega.coeffs)
-    quarter = Fraction(-1, 4) if exact else -0.25
     Q = [[0] * DIM for _ in range(DIM)]
-    for a in range(DIM):
-        for b in range(a, DIM):
-            val = quarter * bot(s, bot(s, wedge(contr[a], contr[b]))).coeffs[0]
-            Q[a][b] = val
-            Q[b][a] = val
+    for (a, b), v in zip(_UPPER, _q_table(*s.x_omega.coeffs)(omega.coeffs)):
+        Q[a][b] = Q[b][a] = v
     return QuadForm6(tuple(tuple(row) for row in Q))
 
 

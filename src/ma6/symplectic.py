@@ -83,7 +83,8 @@ class SymplecticSpace:
         # ⊥Ω = n = 3 calibrates the bivector-contraction convention
         cal = interior_bivector(self.x_omega, omega).coeffs[0]
         ok = abs(cal - 3) < 1e-9 if isinstance(cal, float) else cal == 3
-        assert ok, "⊥ calibration failed"
+        if not ok:
+            raise DegenerateError(f"⊥ calibration failed: ⊥Ω = {cal}, expected 3")
 
     def gamma_apply(self, X):
         """Γ(X) = i_X Ω as a 1-form."""

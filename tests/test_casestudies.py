@@ -1,11 +1,16 @@
 """The semi-geostrophic example and the 6-sphere associative form."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+
+import ma6
 
 from ma6.casestudies import (
     cs_form,
@@ -157,3 +162,11 @@ def test_s6_invariants(rng):
     assert worst_lam < 1e-9
     assert worst_k2 < 1e-8
     assert worst_mul < 1e-8
+
+
+def test_import_does_not_load_scipy():
+    """scipy is imported only when hess_one_solution's value is computed."""
+    src = os.path.dirname(os.path.dirname(ma6.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, ma6; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

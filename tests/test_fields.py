@@ -243,17 +243,23 @@ def test_pullback_field_poly_grade_four(space):
 
 def test_pointwise_field_evaluated_once_per_point(space, monkeypatch):
     """One sample point: 12 stencil points and the point itself.  Each takes
-    one field evaluation, the degeneracy-guard pfaffian and the one inside
-    dual_form (closedness) or split_pair (integrability)."""
+    one field evaluation and the degeneracy-guard pfaffian; dual_form
+    (closedness) and split_pair (integrability) take λ from their own K, so
+    K is built twice per stencil point and once for the sign sweep."""
     import ma6.fields
     import ma6.hitchin
 
-    counts = {"field": 0, "pfaffian": 0}
+    counts = {"field": 0, "pfaffian": 0, "hitchin_k": 0}
     pfaffian = ma6.hitchin.pfaffian
+    hitchin_k = ma6.hitchin.hitchin_k
 
     def counting_pfaffian(*args):
         counts["pfaffian"] += 1
         return pfaffian(*args)
+
+    def counting_hitchin_k(*args):
+        counts["hitchin_k"] += 1
+        return hitchin_k(*args)
 
     def fn(x):
         counts["field"] += 1
@@ -262,14 +268,17 @@ def test_pointwise_field_evaluated_once_per_point(space, monkeypatch):
 
     monkeypatch.setattr(ma6.hitchin, "pfaffian", counting_pfaffian)
     monkeypatch.setattr(ma6.fields, "pfaffian", counting_pfaffian)
+    monkeypatch.setattr(ma6.hitchin, "hitchin_k", counting_hitchin_k)
     fld = FormField.from_pointwise(3, fn)
     pts = sample_box([(-0.5, 0.5)] * 6, 1, seed=3)
     closedness_check(fld, space, pts)
     assert counts["field"] <= 13
-    assert counts["pfaffian"] <= 26
-    counts["pfaffian"] = 0
+    assert counts["pfaffian"] <= 13
+    assert counts["hitchin_k"] <= 25
+    counts["pfaffian"] = counts["hitchin_k"] = 0
     gcy_integrability_check(fld, space, pts)
-    assert counts["pfaffian"] <= 52
+    assert counts["pfaffian"] <= 27
+    assert counts["hitchin_k"] <= 52
 
 
 def test_pointwise_field_has_no_exact_operations(space):

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from ma6.exterior import ExactComplex, KForm, wedge
+from ma6.exterior import ExactComplex, KForm, interior_vector, wedge
 from ma6.hitchin import (
     DegenerateFormError,
     ExactnessError,
+    a_iso,
     dual_form,
     hitchin_k,
     is_decomposable,
@@ -31,6 +32,32 @@ def test_k_anchor_product_structure(space):
                 for i in range(6)]
     assert K == expected
     assert pfaffian(omega, space) == 1
+
+
+def reference_hitchin_k(omega, theta):
+    """K from its definition K(e_j)θ = A(i_{e_j}ω ∧ ω), column by column."""
+    cols = []
+    for j in range(6):
+        ej = [0] * 6
+        ej[j] = 1
+        cols.append(a_iso(wedge(interior_vector(ej, omega), omega), theta))
+    return [[cols[j][i] for j in range(6)] for i in range(6)]
+
+
+def test_k_table_matches_definition(space, other_space, rng):
+    """On 200 rational forms, alternating between two spaces: exact K equals
+    its definition; float K is all floats, within 1e-12·(1+|ω|)² of it."""
+    for n in range(200):
+        s = space if n % 2 else other_space
+        omega = rand_form(rng, 3)
+        ref = reference_hitchin_k(omega, s)
+        assert hitchin_k(omega, s) == ref
+        f = KForm(3, [float(c) for c in omega.coeffs])
+        tol = 1e-12 * (1 + f.max_abs()) ** 2
+        for row, ref_row in zip(hitchin_k(f, s), ref):
+            for e, r in zip(row, ref_row):
+                assert isinstance(e, float)
+                assert abs(e - r) <= tol
 
 
 def test_k_squared_is_lambda_id(space, rng):

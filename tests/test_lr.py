@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ma6.exterior import KForm
+from ma6.exterior import KForm, interior_vector, wedge
 from ma6.hitchin import hitchin_k
 from ma6.lr import (
     COMPAT_SCALE,
@@ -16,7 +16,7 @@ from ma6.lr import (
     q_form,
     signature,
 )
-from ma6.symplectic import is_effective, top
+from ma6.symplectic import bot, is_effective, top
 
 from conftest import rand_effective, rand_form, rand_vector
 
@@ -29,6 +29,36 @@ def test_q_of_product_anchor(space):
     assert (sig.pos, sig.neg) == (3, 3)
     X = [1, 2, 3, 4, 5, 6]
     assert Q(X) == 1 * 4 + 2 * 5 + 3 * 6
+
+
+def reference_q(omega, s):
+    """Q from its definition Q_ab = −¼⊥²(i_{e_a}ω ∧ i_{e_b}ω)."""
+    contr = [interior_vector([1 if i == a else 0 for i in range(6)], omega)
+             for a in range(6)]
+    Q = [[None] * 6 for _ in range(6)]
+    for a in range(6):
+        for b in range(a, 6):
+            v = Fraction(-1, 4) * bot(s, bot(s, wedge(contr[a], contr[b]))).coeffs[0]
+            Q[a][b] = Q[b][a] = v
+    return Q
+
+
+def test_q_table_matches_definition(space, other_space, rng):
+    """On 200 rational effective forms, alternating between two spaces (the
+    table is cached per space): exact Q equals its definition; float Q is
+    all floats, within 1e-12·(1+|ω|)² of it."""
+    for n in range(200):
+        s = space if n % 2 else other_space
+        omega = rand_effective(rng, s)
+        ref = reference_q(omega, s)
+        assert [list(row) for row in q_form(omega, s).matrix] == ref
+        f = KForm(3, [float(c) for c in omega.coeffs])
+        scale = 1 + f.max_abs()
+        Qf = q_form(f, s, tol=1e-9 * scale)
+        for row, ref_row in zip(Qf.matrix, ref):
+            for e, r in zip(row, ref_row):
+                assert isinstance(e, float)
+                assert abs(e - r) <= 1e-12 * scale ** 2
 
 
 def test_compatibility_identity_exact(space, rng):

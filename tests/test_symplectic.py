@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from ma6.exterior import KForm, wedge
 from ma6.symplectic import (
+    DegenerateError,
     EffectivenessError,
     bot,
     hll_decompose,
@@ -39,6 +40,18 @@ def test_bot_top_commutator(space, rng):
 
 def test_bot_of_omega_is_three(space):
     assert bot(space, space.omega) == KForm(0, [Fraction(3)])
+
+
+def test_bot_calibration_is_checked(monkeypatch):
+    """A miscalibrated ⊥ is rejected by a raised error, not an assert, so
+    the check survives python -O."""
+    import ma6.symplectic
+
+    contract = ma6.symplectic.interior_bivector
+    monkeypatch.setattr(ma6.symplectic, "interior_bivector",
+                        lambda B, omega: contract(B, omega) * 2)
+    with pytest.raises(DegenerateError, match="calibration"):
+        standard_space()
 
 
 def test_effective_iff_wedge_omega_vanishes(space, rng):
