@@ -81,7 +81,7 @@ from .fields import (
     sample_box,
 )
 from .octonion import Octonion, associative_form, cross
-from . import casestudies, cli, documents
+from . import casestudies, documents
 
 __all__ = [n for n in dir() if not n.startswith("_")]
 __version__ = "0.1.0"

@@ -74,18 +74,37 @@ def _read_doc(path):
         raise CliError(EXIT_INVALID, f"cannot read input: {e}")
 
 
+def _require_3form(obj):
+    """Every subcommand reads 3-forms; another grade is invalid input."""
+    if obj.grade != 3:
+        raise CliError(EXIT_INVALID, f"expected a 3-form, got grade {obj.grade}")
+    return obj
+
+
 def _load_form(args):
     doc = _read_doc(args.input)
     try:
         form = parse_form(doc)
     except DocumentError as e:
         raise CliError(EXIT_INVALID, str(e))
+    _require_3form(form)
     if args.scalar == "float":
         try:
             form = KForm(form.grade, [float(c) for c in form.coeffs])
         except OverflowError as e:
             raise CliError(EXIT_INVALID, f"coefficient too large for a float: {e}")
     return form
+
+
+def _load_field(path):
+    """A 3-form field document, or a form document read as a constant field."""
+    doc = _read_doc(path)
+    try:
+        fld = (parse_field(doc) if is_field_document(doc)
+               else FormField.constant(parse_form(doc)))
+    except DocumentError as e:
+        raise CliError(EXIT_INVALID, str(e))
+    return _require_3form(fld)
 
 
 def _parse_box(text, dims):
@@ -243,12 +262,7 @@ def cmd_check_solution(args):
         return report, EXIT_PASS if rep.passed else EXIT_FAIL
     section, fld = _builtin_section(args)
     if args.input is not None:
-        doc = _read_doc(args.input)
-        try:
-            fld = (parse_field(doc) if is_field_document(doc)
-                   else FormField.constant(parse_form(doc)))
-        except DocumentError as e:
-            raise CliError(EXIT_INVALID, str(e))
+        fld = _load_field(args.input)
     if args.perturb:
         base = section
         eps = args.perturb
@@ -275,12 +289,7 @@ def cmd_check_solution(args):
 
 def cmd_check_structure(args):
     s = standard_space()
-    doc = _read_doc(args.input)
-    try:
-        fld = (parse_field(doc) if is_field_document(doc)
-               else FormField.constant(parse_form(doc)))
-    except DocumentError as e:
-        raise CliError(EXIT_INVALID, str(e))
+    fld = _load_field(args.input)
     box = _parse_box(args.box, 6)
     points = sample_box(box, args.samples, seed=args.seed)
     try:

@@ -229,13 +229,14 @@ def wedge(a, b):
 
 
 class QuadraticTable:
-    """A tuple of quadratic polynomials in the coefficients w of a form.
+    """A tuple of quadratic polynomials in the coefficients w of a form, or
+    of bilinear ones in two coefficient sequences u and v.
 
-    Built from one mapping {(I, J): c} per entry, where I and J index
-    ``coeffs``; evaluating gives, per entry, Σ c·w_I·w_J.  Every coefficient
+    Built from one mapping {(I, J): c} per entry; evaluating at w gives, per
+    entry, Σ c·w_I·w_J, and at (u, v) gives Σ c·u_I·v_J.  Every coefficient
     is kept exactly and as a float: float input is evaluated in floats only,
     and rational input (int/Fraction, with rational c) in Python ints over a
-    common denominator, so it stays exact.  Other real input (rational w
+    common denominator, so it stays exact.  Other real input (rational input
     with a float table) is evaluated in floats; complex and ExactComplex
     input uses the exact coefficients.
     """
@@ -256,18 +257,35 @@ class QuadraticTable:
         else:
             self.den = self.ints = None
 
-    def __call__(self, w):
-        if self.ints is not None and all(isinstance(x, (int, Fraction)) for x in w):
-            # clear the denominators of w, sum in ints, divide once
-            d = math.lcm(*(x.denominator for x in w))
-            n = [x.numerator * (d // x.denominator) for x in w]
-            den = self.den * d * d
-            return tuple(Fraction(sum([c * n[i] * n[j] for i, j, c in e]), den)
+    def __call__(self, u, v=None):
+        same = v is None
+        v = u if same else v
+        if self.ints is not None and _all_rational(u) and (same or _all_rational(v)):
+            # clear the denominators of u and v, sum in ints, divide once
+            du, nu = _cleared(u)
+            dv, nv = (du, nu) if same else _cleared(v)
+            den = self.den * du * dv
+            return tuple(Fraction(sum([c * nu[i] * nv[j] for i, j, c in e]), den)
                          for e in self.ints)
-        if all(isinstance(x, (int, float, Fraction)) for x in w):
-            w = [float(x) for x in w]
-            return tuple(sum([c * w[i] * w[j] for i, j, c in e], 0.0) for e in self.floats)
-        return tuple(sum(c * w[i] * w[j] for i, j, c in e) for e in self.exact)
+        if _all_real(u) and (same or _all_real(v)):
+            u = [float(x) for x in u]
+            v = u if same else [float(x) for x in v]
+            return tuple(sum([c * u[i] * v[j] for i, j, c in e], 0.0) for e in self.floats)
+        return tuple(sum(c * u[i] * v[j] for i, j, c in e) for e in self.exact)
+
+
+def _all_rational(w):
+    return all(isinstance(x, (int, Fraction)) for x in w)
+
+
+def _all_real(w):
+    return all(isinstance(x, (int, float, Fraction)) for x in w)
+
+
+def _cleared(w):
+    """(d, n) with w_I = n_I / d in ints, d the lcm of the denominators."""
+    d = math.lcm(*(x.denominator for x in w))
+    return d, [x.numerator * (d // x.denominator) for x in w]
 
 
 def interior_vector(X, omega):

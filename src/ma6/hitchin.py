@@ -5,6 +5,18 @@ Sign convention: the vector v = a_iso(ψ, θ) is defined by ξ ∧ ψ = ξ(v) θ
 for every covector ξ.  With this choice the K-map of dq123 + dp123 is
 diag(1,1,1,−1,−1,−1), matching the standard real Calabi-Yau product
 structure on the (q, p) splitting.
+
+The dual form needs K*ω(X, Y, Z) = ω(KX, KY, KZ), a form of degree 7 in ω.
+It is computed from the derivation action of K, which is linear in K:
+
+    K*ω = (λ/3)·K·ω,   K·ω(X, Y, Z) = ω(KX, Y, Z) + ω(X, KY, Z) + ω(X, Y, KZ).
+
+For λ ≠ 0, K = √|λ|·J with J² = sign(λ), and ω = α + β with α and β
+decomposable, each a product of three 1-forms on which J acts as one
+eigenvalue μ, μ² = sign(λ).  So J* multiplies α and β by μ³ and J· by 3μ,
+that is J* = (sign λ/3)·J· on ω.  Both sides are polynomials in ω, so the
+identity also holds at λ = 0, where both vanish.  K·ω is one bilinear table
+in (K, ω), and no 3x3 minors of K are taken.
 """
 
 from __future__ import annotations
@@ -14,10 +26,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exterior import (
+    COMBS,
     DIM,
     POS,
     ExactComplex,
     GradeError,
+    KForm,
     QuadraticTable,
     _im,
     merge_sign,
@@ -96,6 +110,28 @@ def hitchin_k(omega, space_or_theta):
     return [[k[DIM * i + j] / t for j in range(DIM)] for i in range(DIM)]
 
 
+@lru_cache(maxsize=None)
+def _derivation_table():
+    """K·ω as a bilinear table in (K, ω), K flattened row-major, one entry
+    per coefficient of the 3-form K·ω.
+
+    On e_A, slot s of A contributes Σ_i K_{i,a_s}·ω(…, e_i, …) with e_i in
+    slot s: for i outside the other two indices R of A, that is the sign of
+    e_i ∧ e_R times (−1)^s, times ω_{{i}∪R}.
+    """
+    entries = []
+    for A in COMBS[3]:
+        terms = {}
+        for slot, a in enumerate(A):
+            R = A[:slot] + A[slot + 1:]
+            for i in range(1, DIM + 1):
+                sign, I = merge_sign((i,), R)
+                if sign:
+                    terms[DIM * (i - 1) + a - 1, POS[3][I]] = (-1) ** slot * sign
+        entries.append(terms)
+    return QuadraticTable(entries)
+
+
 def mat_mul(A, B):
     return [[sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
             for i in range(len(A))]
@@ -135,15 +171,21 @@ def _abs_pow(lam, num, den, exact):
     return float(a) ** (num / den)
 
 
-def dual_form(omega, space_or_theta):
-    """Hitchin's dual form ω̂ = |λ|^(−3/2) K*ω (requires λ ≠ 0)."""
+def _dual(omega, space_or_theta):
+    """(λ, exact, ω̂) from one K: ω̂ = |λ|^(−3/2)·K*ω = λ/(3|λ|^(3/2))·K·ω."""
     K = hitchin_k(omega, space_or_theta)
     lam = _lambda_of_k(K)
     if lam == 0:
-        raise DegenerateFormError("degenerate 3-form has no dual")
+        raise DegenerateFormError("degenerate 3-form (λ = 0) has no dual")
     exact = not isinstance(lam, float)
-    factor = 1 / _abs_pow(lam, 3, 2, exact)
-    return omega.pullback(K) * factor
+    factor = lam / (3 * _abs_pow(lam, 3, 2, exact))
+    k_omega = _derivation_table()([e for row in K for e in row], omega.coeffs)
+    return lam, exact, KForm(3, k_omega) * factor
+
+
+def dual_form(omega, space_or_theta):
+    """Hitchin's dual form ω̂ = |λ|^(−3/2) K*ω (requires λ ≠ 0)."""
+    return _dual(omega, space_or_theta)[2]
 
 
 class SplitPair:
@@ -165,13 +207,7 @@ class SplitPair:
 
 def split_pair(omega, space_or_theta):
     theta = _theta_of(space_or_theta)
-    K = hitchin_k(omega, theta)
-    lam = _lambda_of_k(K)
-    if lam == 0:
-        raise DegenerateFormError("cannot split a degenerate 3-form")
-    exact = not isinstance(lam, float)
-    factor = 1 / _abs_pow(lam, 3, 2, exact)
-    dual = omega.pullback(K) * factor
+    lam, exact, dual = _dual(omega, theta)
     half = Fraction(1, 2) if exact else 0.5
     if lam > 0:
         alpha = (omega + dual) * half
@@ -196,7 +232,8 @@ def is_decomposable(phi, space_or_theta, tol=None):
 
     For 3-forms in 6 variables i_Xφ ∧ φ = 0 for all X exactly characterizes
     decomposability.  ``tol`` enables the approximate check for floats; the
-    default scales a 1e-9 relative tolerance by the cubic homogeneity of K.
+    default is 1e-9·(1 + |φ|)³, one degree above the quadratic homogeneity
+    of K in φ.
     """
     theta = _theta_of(space_or_theta)
     K = hitchin_k(phi, theta)

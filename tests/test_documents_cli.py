@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -224,3 +227,37 @@ def test_cli_float_overflow_exit2():
     code, out = run_cli(["classify", "--scalar", "float"], stdin_text=doc)
     assert code == 2
     assert out == ""
+
+
+def run_cli_process(argv, stdin_text):
+    """``python -m ma6.cli ARGV`` in a child process, runpy warnings as errors."""
+    import ma6
+
+    src = os.path.dirname(os.path.dirname(ma6.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "ma6.cli",
+                           *argv], input=stdin_text, capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_cli_module_runs_once():
+    """``import ma6`` does not import ma6.cli, so ``python -m ma6.cli`` runs
+    it once, without runpy's "found in sys.modules" warning."""
+    proc = run_cli_process(["classify"], form_doc(table1_form(1, Fraction(1))))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["class"] == "HessianOne"
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify"],
+    ["split"],
+    ["check-structure", "--input", "-", "--samples", "1"],
+    ["check-solution", "--solution", "cs-regular", "--input", "-", "--samples", "1"],
+])
+def test_cli_wrong_grade_exit2(argv):
+    """A 2-form document is invalid input for every form-reading command."""
+    proc = run_cli_process(argv, form_doc(KForm.basis(1, 4)))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "expected a 3-form, got grade 2" in proc.stderr

@@ -6,10 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from ma6.exterior import ExactComplex, KForm, interior_vector, wedge
+from ma6.classify import build_gcy, table1_form
+from ma6.exterior import COMBS, ExactComplex, KForm, interior_vector, rational_sqrt, wedge
 from ma6.hitchin import (
     DegenerateFormError,
     ExactnessError,
+    _derivation_table,
+    _k_table,
     a_iso,
     dual_form,
     hitchin_k,
@@ -159,3 +162,132 @@ def test_theta_pairing_symmetric_on_3forms(space, rng):
     the pairing is antisymmetric."""
     a, b = rand_form(rng, 3), rand_form(rng, 3)
     assert theta_pairing(a, b, space) == -theta_pairing(b, a, space)
+
+
+def reference_k_star(omega, K):
+    """K*ω(X, Y, Z) = ω(KX, KY, KZ), from the 3x3 minors of K."""
+    return omega.pullback(K)
+
+
+def reference_dual(omega, s):
+    """|λ|^(−3/2)·K*ω for rational ω whose |λ| has a rational square root."""
+    lam = pfaffian(omega, s)
+    return reference_k_star(omega, hitchin_k(omega, s)) * (1 / rational_sqrt(abs(lam)) ** 3)
+
+
+def rand_matrix(rng):
+    return [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(6)]
+            for _ in range(6)]
+
+
+def square_lambda_form(rng, s):
+    """g*ω for a table row 1-3 with random p and a random rational g: λ is
+    ±p⁴·det(g)² over the square of θ's coefficient, so |λ| has a rational
+    square root, while the form is otherwise generic (not effective)."""
+    while True:
+        row, p = rng.randint(1, 3), Fraction(rng.randint(1, 4), rng.randint(1, 3))
+        omega = table1_form(row, p).pullback(rand_matrix(rng))
+        if pfaffian(omega, s) != 0:
+            return omega
+
+
+def test_dual_and_split_match_k_star(space, other_space, rng):
+    """On 200 rational forms, alternating between two spaces: dual_form is
+    |λ|^(−3/2)·K*ω exactly, and split_pair gives (ω ± ω̂)/2 or
+    (ω ± iω̂)/2."""
+    half, i_unit = Fraction(1, 2), ExactComplex(0, 1)
+    for n in range(200):
+        s = space if n % 2 else other_space
+        omega = square_lambda_form(rng, s)
+        ref = reference_dual(omega, s)
+        assert dual_form(omega, s) == ref
+        sp = split_pair(omega, s)
+        if sp.branch == "elliptic":
+            ref = ref * i_unit
+        assert {sp.alpha, sp.beta} == {(omega + ref) * half, (omega - ref) * half}
+
+
+def test_float_dual_matches_k_star(space, other_space, rng):
+    """On 200 random rational forms in floats, alternating between two
+    spaces, dual_form is within 1e-11·(1+|ω|) of the exact K*ω scaled by
+    |λ|^(−3/2)."""
+    for n in range(200):
+        s = space if n % 2 else other_space
+        omega = rand_form(rng, 3)
+        lam = pfaffian(omega, s)
+        if lam == 0:
+            continue
+        ref = reference_k_star(omega, hitchin_k(omega, s)) * (1 / float(abs(lam)) ** 1.5)
+        f = KForm(3, [float(c) for c in omega.coeffs])
+        dual = dual_form(f, s)
+        assert all(isinstance(c, float) for c in dual.coeffs)
+        assert (dual - ref).max_abs() <= 1e-11 * (1 + f.max_abs())
+
+
+def test_dual_on_table_rows(space):
+    """Rows 1-3 are nondegenerate and match |λ|^(−3/2)·K*ω; on the
+    degenerate rows 4-9 K*ω = 0 and there is no dual."""
+    for row in range(1, 10):
+        for p in (Fraction(1), Fraction(3, 2)):
+            omega = table1_form(row, p)
+            if row <= 3:
+                assert dual_form(omega, space) == reference_dual(omega, space)
+                continue
+            assert reference_k_star(omega, hitchin_k(omega, space)).is_zero()
+            with pytest.raises(DegenerateFormError):
+                dual_form(omega, space)
+            with pytest.raises(DegenerateFormError):
+                split_pair(omega, space)
+
+
+def test_dual_makes_no_pullback(space, monkeypatch):
+    """dual_form, split_pair and build_gcy take K*ω from the derivation
+    action of K, not from the 3x3 minors of KForm.pullback."""
+    forms = [table1_form(row, Fraction(3, 2)) for row in (1, 2, 3)]
+    forms += [KForm(3, [float(c) for c in w.coeffs]) for w in forms]
+    calls = []
+    pullback = KForm.pullback
+
+    def counting_pullback(self, matrix):
+        calls.append(matrix)
+        return pullback(self, matrix)
+
+    monkeypatch.setattr(KForm, "pullback", counting_pullback)
+    for omega in forms:
+        dual_form(omega, space)
+        split_pair(omega, space)
+        build_gcy(omega, space)
+    assert calls == []
+
+
+def reference_k_dot(omega, K):
+    """K·ω(X, Y, Z) = ω(KX, Y, Z) + ω(X, KY, Z) + ω(X, Y, KZ) on the basis
+    triples, as a coefficient list."""
+    e = [[int(i == j) for i in range(6)] for j in range(6)]
+    Ke = [[K[i][j] for i in range(6)] for j in range(6)]  # Ke[j] = K(e_j)
+    out = []
+    for A in COMBS[3]:
+        a, b, c = (i - 1 for i in A)
+        out.append(omega.evaluate(Ke[a], e[b], e[c]) + omega.evaluate(e[a], Ke[b], e[c])
+                   + omega.evaluate(e[a], e[b], Ke[c]))
+    return out
+
+
+def test_tables_match_sympy_expansion(space, other_space):
+    """On a symbolic ω with 20 coefficients, over both spaces: the K table
+    and the derivation table, expanded, have the same coefficients as the
+    reference definitions of K and of K·ω with that K."""
+    sympy = pytest.importorskip("sympy")
+    w = sympy.symbols("w0:20")
+    omega = KForm(3, w)
+
+    def coeffs(expr):
+        return sympy.Poly(expr, *w).as_dict()
+
+    for s in (space, other_space):
+        t = s.theta.coeffs[0]
+        K = reference_hitchin_k(omega, s)
+        table_k = _k_table()(w)
+        assert [coeffs(c / t) for c in table_k] == [coeffs(e) for row in K for e in row]
+        table_dot = _derivation_table()([e for row in K for e in row], w)
+        assert [coeffs(c) for c in table_dot] == [coeffs(c) for c in reference_k_dot(omega, K)]

@@ -10,6 +10,8 @@ from ma6.hitchin import hitchin_k
 from ma6.lr import (
     COMPAT_SCALE,
     QuadForm6,
+    _UPPER,
+    _q_table,
     char_pencil,
     compat_q_k,
     in_sp3,
@@ -59,6 +61,18 @@ def test_q_table_matches_definition(space, other_space, rng):
             for e, r in zip(row, ref_row):
                 assert isinstance(e, float)
                 assert abs(e - r) <= 1e-12 * scale ** 2
+
+
+def test_q_table_matches_sympy_expansion(space, other_space):
+    """On a symbolic ω with 20 coefficients, over both spaces, the expanded
+    q table has the same coefficients as the reference definition of Q."""
+    sympy = pytest.importorskip("sympy")
+    w = sympy.symbols("w0:20")
+    for s in (space, other_space):
+        ref = reference_q(KForm(3, w), s)
+        table = _q_table(*s.x_omega.coeffs)(w)
+        for (a, b), entry in zip(_UPPER, table):
+            assert sympy.Poly(entry, *w).as_dict() == sympy.Poly(ref[a][b], *w).as_dict()
 
 
 def test_compatibility_identity_exact(space, rng):
