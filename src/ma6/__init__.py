@@ -68,13 +68,11 @@ from .fields import (
     closedness_check,
     d_exact,
     d_numeric,
-    dual_field,
     flatness_check,
     gcy_integrability_check,
     is_symplectomorphism,
     lambda_field,
     ma_operator,
-    normalized_field,
     pullback_field_poly,
     pullback_map,
     riemann,

@@ -244,12 +244,14 @@ def _builtin_section(args):
 
 
 def cmd_check_solution(args):
+    fld = None if args.input is None else _load_field(args.input)
     s = standard_space()
     rng_box = _parse_box(args.box, 3)
     points = sample_box(rng_box, args.samples, seed=args.seed)
     if args.solution == "cs-generalized":
         L = casestudies.cs_generalized_solution(gamma=args.gamma, b=args.b)
-        fld = FormField.constant(casestudies.cs_form(float(args.gamma)))
+        if fld is None:
+            fld = FormField.constant(casestudies.cs_form(float(args.gamma)))
         rep = check_generalized_solution(L, fld, s, points, tol=args.tol)
         report = {
             "command": "check-solution", "solution": args.solution,
@@ -260,9 +262,8 @@ def cmd_check_solution(args):
             "tolerance": rep.tol, "seed": args.seed, "box": rng_box,
         }
         return report, EXIT_PASS if rep.passed else EXIT_FAIL
-    section, fld = _builtin_section(args)
-    if args.input is not None:
-        fld = _load_field(args.input)
+    section, builtin = _builtin_section(args)
+    fld = builtin if fld is None else fld
     if args.perturb:
         base = section
         eps = args.perturb

@@ -238,10 +238,11 @@ class QuadraticTable:
     and rational input (int/Fraction, with rational c) in Python ints over a
     common denominator, so it stays exact.  Other real input (rational input
     with a float table) is evaluated in floats; complex and ExactComplex
-    input uses the exact coefficients.
+    input uses the exact coefficients.  ``batch`` evaluates the quadratic
+    polynomials at every row of a float array at once.
     """
 
-    __slots__ = ("exact", "floats", "ints", "den")
+    __slots__ = ("exact", "floats", "ints", "den", "_arrays")
 
     def __init__(self, entries):
         exact = tuple(tuple((i, j, c) for (i, j), c in sorted(e.items()) if c != 0)
@@ -256,6 +257,7 @@ class QuadraticTable:
                                     for i, j, c in e) for e in exact)
         else:
             self.den = self.ints = None
+        self._arrays = None
 
     def __call__(self, u, v=None):
         same = v is None
@@ -272,6 +274,27 @@ class QuadraticTable:
             v = u if same else [float(x) for x in v]
             return tuple(sum([c * u[i] * v[j] for i, j, c in e], 0.0) for e in self.floats)
         return tuple(sum(c * u[i] * v[j] for i, j, c in e) for e in self.exact)
+
+    def batch(self, W):
+        """The quadratic polynomials at each row w of the float array W, shape
+        (N, n): an (N, entries) array.  Each entry sums c·w_I·w_J over its
+        terms from 0.0 in table order, as ``__call__`` does on float input,
+        so the two agree bitwise."""
+        import numpy as np
+
+        if self._arrays is None:
+            # term k of every entry, padded with the zero term 0·w_0·w_0
+            width = max(len(e) for e in self.floats)
+            padded = [[e[k] if k < len(e) else (0, 0, 0.0) for e in self.floats]
+                      for k in range(width)]
+            self._arrays = tuple(np.array([[t[n] for t in row] for row in padded])
+                                 for n in range(3))
+        I, J, C = self._arrays
+        Wt = np.asarray(W, dtype=float).T
+        acc = np.zeros((len(self.floats), Wt.shape[1]))
+        for i, j, c in zip(I, J, C):
+            acc += c[:, None] * Wt[i] * Wt[j]
+        return acc.T
 
 
 def _all_rational(w):

@@ -207,7 +207,11 @@ class SplitPair:
 
 def split_pair(omega, space_or_theta):
     theta = _theta_of(space_or_theta)
-    lam, exact, dual = _dual(omega, theta)
+    return _split(omega, *_dual(omega, theta), theta)
+
+
+def _split(omega, lam, exact, dual, theta):
+    """The SplitPair of ω from its dual ω̂ and the sign of its λ."""
     half = Fraction(1, 2) if exact else 0.5
     if lam > 0:
         alpha = (omega + dual) * half

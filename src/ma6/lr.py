@@ -12,7 +12,10 @@ from .exterior import (
     COMBS,
     DIM,
     POS,
+    Bivector6,
+    KForm,
     QuadraticTable,
+    interior_bivector,
     interior_vector,
     merge_sign,
     wedge,
@@ -106,6 +109,38 @@ def q_form(omega, s, tol=0):
     for (a, b), v in zip(_UPPER, _q_table(*s.x_omega.coeffs)(omega.coeffs)):
         Q[a][b] = Q[b][a] = v
     return QuadForm6(tuple(tuple(row) for row in Q))
+
+
+@lru_cache(maxsize=32, typed=True)
+def _bot_matrix(*x_omega):
+    """⊥ on 3-forms as a read-only float 20 × 6 matrix, row I holding ⊥e_I,
+    for the space with dual bivector x_omega."""
+    import numpy as np
+
+    B = Bivector6(x_omega)
+    M = np.array([[float(c) for c in interior_bivector(B, KForm.basis(*I)).coeffs]
+                  for I in COMBS[3]])
+    M.flags.writeable = False
+    return M
+
+
+# Q_ab's position in the _UPPER order, for every (a, b)
+_SYMMETRIC = [[_UPPER.index((min(a, b), max(a, b))) for b in range(DIM)]
+              for a in range(DIM)]
+
+
+def q_matrices(W, s):
+    """The matrices of q_form at each row of the float array W of 3-form
+    coefficients, shape (N, 20): an (N, 6, 6) float array.  Every row must
+    pass the float guard of q_form, |⊥ω| ≤ 1e-9·(1 + |ω|)."""
+    import numpy as np
+
+    W = np.asarray(W, dtype=float)
+    x_omega = s.x_omega.coeffs
+    bot = np.abs(np.einsum("nI,Ia->na", W, _bot_matrix(*x_omega))).max(axis=1)
+    if not (bot <= 1e-9 * (1 + np.abs(W).max(axis=1))).all():
+        raise EffectivenessError("q_form requires an effective 3-form")
+    return _q_table(*x_omega).batch(W)[:, _SYMMETRIC]
 
 
 # One-time calibration: with ⊥ pinned by the commutator identity (⊥Ω = 3),

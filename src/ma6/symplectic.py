@@ -53,8 +53,7 @@ class SymplecticSpace:
     Attributes:
         omega:   Ω as a grade-2 KForm.
         matrix:  the 6x6 antisymmetric array A with A[i][j] = Ω(e_{i+1}, e_{j+1}).
-        gamma:   matrix of the isomorphism Γ: V → V*, Γ(X) = i_X Ω.
-        x_omega: the dual bivector X_Ω with Γ*(X_Ω) = Ω, scaled so ⊥Ω = 3.
+        x_omega: the dual bivector X_Ω, from the inverse of A, scaled so ⊥Ω = 3.
         theta:   the volume form θ = −(1/6) Ω³.
     """
 
@@ -67,8 +66,6 @@ class SymplecticSpace:
             A[i - 1][j - 1] = c
             A[j - 1][i - 1] = -c
         self.matrix = A
-        # Γ(X)_j = Ω(X, e_j) = (Aᵀ X)_j
-        self.gamma = [[A[j][i] for j in range(DIM)] for i in range(DIM)]
         Ainv = _mat_inverse(A)
         xo = [0] * len(COMBS[2])
         for (i, j), p in POS[2].items():
@@ -85,11 +82,6 @@ class SymplecticSpace:
         ok = abs(cal - 3) < 1e-9 if isinstance(cal, float) else cal == 3
         if not ok:
             raise DegenerateError(f"⊥ calibration failed: ⊥Ω = {cal}, expected 3")
-
-    def gamma_apply(self, X):
-        """Γ(X) = i_X Ω as a 1-form."""
-        return KForm(1, tuple(sum(self.gamma[i][j] * X[j] for j in range(DIM))
-                              for i in range(DIM)))
 
 
 def standard_space():

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from ma6 import cli
+from ma6.casestudies import cs_form
 from ma6.classify import table1_form
 from ma6.documents import (
     DocumentError,
@@ -254,6 +255,7 @@ def test_cli_module_runs_once():
     ["split"],
     ["check-structure", "--input", "-", "--samples", "1"],
     ["check-solution", "--solution", "cs-regular", "--input", "-", "--samples", "1"],
+    ["check-solution", "--solution", "cs-generalized", "--input", "-", "--samples", "1"],
 ])
 def test_cli_wrong_grade_exit2(argv):
     """A 2-form document is invalid input for every form-reading command."""
@@ -261,3 +263,27 @@ def test_cli_wrong_grade_exit2(argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "expected a 3-form, got grade 2" in proc.stderr
+
+
+@pytest.mark.parametrize("solution", ["cs-regular", "cs-generalized", "hess-one"])
+def test_cli_check_solution_missing_input_exit2(solution, tmp_path):
+    proc = run_cli_process(["check-solution", "--solution", solution, "--input",
+                            str(tmp_path / "missing.json"), "--samples", "1"], None)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "cannot read input" in proc.stderr
+
+
+@pytest.mark.parametrize("form, code", [
+    (cs_form(1), 0),
+    (KForm.basis(1, 2, 3), 1),
+])
+def test_cli_check_solution_generalized_reads_input(form, code):
+    """--input replaces the builtin form: the solution surface at γ = 1
+    passes for the builtin form and fails for dq123, which does not vanish
+    on it."""
+    proc = run_cli_process(["check-solution", "--solution", "cs-generalized",
+                            "--gamma", "1", "--input", "-", "--samples", "5"],
+                           form_doc(form))
+    assert proc.returncode == code, proc.stderr
+    assert json.loads(proc.stdout)["passed"] == (code == 0)

@@ -192,6 +192,8 @@ def test_closedness_and_integrability_agree(space):
         assert c.passed == want
         assert g.passed == want
         assert g.details["agrees_with_closedness"]
+        assert g.details["closedness_passed"] == c.passed
+        assert g.details["closedness_residual"] == c.max_residual
 
 
 def test_flatness_constant_exact():
@@ -243,9 +245,11 @@ def test_pullback_field_poly_grade_four(space):
 
 def test_pointwise_field_evaluated_once_per_point(space, monkeypatch):
     """One sample point: 12 stencil points and the point itself.  Each takes
-    one field evaluation and the degeneracy-guard pfaffian; dual_form
-    (closedness) and split_pair (integrability) take λ from their own K, so
-    K is built twice per stencil point and once for the sign sweep."""
+    one field evaluation and the degeneracy-guard pfaffian; dual_form takes
+    λ from its own K, so K is built twice per stencil point and once for the
+    sign sweep, plus once for the dual at the point itself in the
+    integrability check, which differentiates the normalized pair in the
+    same stencil pass instead of running closedness_check."""
     import ma6.fields
     import ma6.hitchin
 
@@ -275,10 +279,80 @@ def test_pointwise_field_evaluated_once_per_point(space, monkeypatch):
     assert counts["field"] <= 13
     assert counts["pfaffian"] <= 13
     assert counts["hitchin_k"] <= 25
-    counts["pfaffian"] = counts["hitchin_k"] = 0
+    counts["field"] = counts["pfaffian"] = counts["hitchin_k"] = 0
+
+    def no_closedness_check(*args, **kwargs):
+        raise AssertionError("closedness_check called")
+
+    monkeypatch.setattr(ma6.fields, "closedness_check", no_closedness_check)
     gcy_integrability_check(fld, space, pts)
-    assert counts["pfaffian"] <= 27
-    assert counts["hitchin_k"] <= 52
+    assert counts["field"] <= 13
+    assert counts["pfaffian"] <= 13
+    assert counts["hitchin_k"] <= 26
+
+
+def test_riemann_evaluates_metric_once_per_stencil_point():
+    """One batch of the 85 distinct points x, x ± h·e_a, x ± 2h·e_a and
+    x ± h·e_a ± h·e_b (a < b); each is evaluated once."""
+    pointwise = []
+
+    def fn(x):
+        pointwise.append(tuple(x))
+        return np.diag([1.0 + x[0] ** 2, 1.0, 1.0, 1.0, 1.0, 1.0])
+
+    g = MetricField(fn)
+    batches = []
+    batch = g.batch
+
+    def counting_batch(points):
+        batches.append(np.array(points))
+        return batch(points)
+
+    g.batch = counting_batch
+    x, h = np.array([0.3, -0.2, 0.5, 0.1, -0.4, 0.2]), 1e-3
+    riemann(g, x, h)
+    assert len(batches) == 1 and len(pointwise) == 85
+    offsets = {tuple(int(v) for v in np.rint((p - x) / h)) for p in batches[0]}
+    e = np.eye(6, dtype=int)
+    want = {(0,) * 6} | {tuple(k * e[a]) for a in range(6) for k in (-2, -1, 1, 2)} | \
+        {tuple(sa * e[a] + sb * e[b]) for a in range(6) for b in range(a + 1, 6)
+         for sa in (1, -1) for sb in (1, -1)}
+    assert len(want) == 85 and offsets == want
+
+
+def test_q_metric_flatness_makes_no_q_form_call(space, monkeypatch):
+    """from_q_field evaluates the field once per stencil point and takes q
+    for the whole batch from the table: no q_form call."""
+    import ma6.lr
+
+    calls = {"q_form": 0, "field": 0}
+    q_form = ma6.lr.q_form
+
+    def counting_q_form(*args, **kwargs):
+        calls["q_form"] += 1
+        return q_form(*args, **kwargs)
+
+    def fn(x):
+        calls["field"] += 1
+        c = math.exp(x[0])
+        return KForm.basis(1, 2, 3, scale=c) + KForm.basis(4, 5, 6, scale=c)
+
+    monkeypatch.setattr(ma6.lr, "q_form", counting_q_form)
+    pts = sample_box([(-0.5, 0.5)] * 6, 1, seed=3)
+    flatness_check(MetricField.from_q_field(FormField.from_pointwise(3, fn), space), pts)
+    assert calls == {"q_form": 0, "field": 85}
+
+
+def test_q_metric_guard_raises_on_non_effective_field(space):
+    from ma6.symplectic import EffectivenessError
+
+    def fn(x):
+        return KForm.basis(1, 2, 3, scale=1.0) + KForm.basis(1, 2, 4, scale=x[0])
+
+    g = MetricField.from_q_field(FormField.from_pointwise(3, fn), space)
+    g([0.0] * 6)
+    with pytest.raises(EffectivenessError):
+        flatness_check(g, [[0.5, 0, 0, 0, 0, 0]])
 
 
 def test_pointwise_field_has_no_exact_operations(space):

@@ -3,10 +3,11 @@ signatures, the characteristic pencil, and sp(3) membership."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ma6.exterior import KForm, interior_vector, wedge
-from ma6.hitchin import hitchin_k
+from ma6.hitchin import _k_table, hitchin_k
 from ma6.lr import (
     COMPAT_SCALE,
     QuadForm6,
@@ -16,9 +17,10 @@ from ma6.lr import (
     compat_q_k,
     in_sp3,
     q_form,
+    q_matrices,
     signature,
 )
-from ma6.symplectic import bot, is_effective, top
+from ma6.symplectic import EffectivenessError, bot, is_effective, top
 
 from conftest import rand_effective, rand_form, rand_vector
 
@@ -73,6 +75,56 @@ def test_q_table_matches_sympy_expansion(space, other_space):
         table = _q_table(*s.x_omega.coeffs)(w)
         for (a, b), entry in zip(_UPPER, table):
             assert sympy.Poly(entry, *w).as_dict() == sympy.Poly(ref[a][b], *w).as_dict()
+
+
+def test_table_batch_matches_call(space, other_space, rng):
+    """QuadraticTable.batch on 100 float forms equals the table evaluated
+    form by form, for θ·K and for q on both spaces."""
+    W = np.array([[float(c) for c in rand_form(rng).coeffs] for _ in range(100)])
+    for table in (_k_table(), _q_table(*space.x_omega.coeffs),
+                  _q_table(*other_space.x_omega.coeffs)):
+        batch = table.batch(W)
+        for w, row in zip(W, batch):
+            scale = 1 + np.abs(w).max()
+            assert np.abs(row - table([float(c) for c in w])).max() <= 1e-12 * scale ** 2
+            assert list(row) == list(table([float(c) for c in w]))
+
+
+def test_q_matrices_match_q_form(space, other_space, rng):
+    """The batched q of 100 random effective float forms per space equals
+    q_form's matrix on each."""
+    for s in (space, other_space):
+        forms = [KForm(3, [float(c) for c in rand_effective(rng, s).coeffs])
+                 for _ in range(100)]
+        batch = q_matrices([f.coeffs for f in forms], s)
+        assert batch.shape == (100, 6, 6)
+        for f, Q in zip(forms, batch):
+            ref = q_form(f, s, tol=1e-9 * (1 + f.max_abs())).matrix
+            assert np.abs(Q - np.array(ref)).max() <= 1e-12 * (1 + f.max_abs()) ** 2
+
+
+def test_q_matrices_guard_matches_q_form(space, other_space, rng):
+    """Off an effective form by a non-effective direction scaled to k times
+    the guard's tolerance, the batched guard raises exactly where q_form's
+    does, one form at a time and anywhere in a batch."""
+    for s in (space, other_space):
+        omega = KForm(3, [float(c) for c in rand_effective(rng, s).coeffs])
+        n = KForm.basis(1, 2, 4, scale=1.0)
+        tol = 1e-9 * (1 + omega.max_abs())
+        for k in (0.5, 0.9, 1.1, 2.0, 1e6):
+            f = omega + n * (k * tol / bot(s, n).max_abs())
+            try:
+                q_form(f, s, tol=1e-9 * (1 + f.max_abs()))
+                raised = False
+            except EffectivenessError:
+                raised = True
+            assert raised == (k > 1)
+            for rows in ([f.coeffs], [omega.coeffs, f.coeffs, omega.coeffs]):
+                if raised:
+                    with pytest.raises(EffectivenessError):
+                        q_matrices(rows, s)
+                else:
+                    q_matrices(rows, s)
 
 
 def test_compatibility_identity_exact(space, rng):
