@@ -18,12 +18,13 @@ from .hitchin import (
     DegenerateFormError,
     ExactnessError,
     _abs_pow,
+    _dual,
+    _lambda_of_k,
+    _split,
     hitchin_k,
-    pfaffian,
-    split_pair,
     theta_pairing,
 )
-from .lr import QuadForm6, Signature, q_form, signature
+from .lr import QuadForm6, Signature, _q_of_k, signature
 
 
 class OrbitClass(enum.Enum):
@@ -115,13 +116,13 @@ def classify(omega, s, tol=0):
     eff_tol = tol if tol else (1e-9 * (1 + omega.max_abs()) if float_mode else 0)
     if not is_effective(s, omega, tol=eff_tol):
         raise EffectivenessError("classification requires an effective 3-form")
-    lam = pfaffian(omega, s)
+    K = hitchin_k(omega, s)
+    lam = _lambda_of_k(K)
     if float_mode:
         lam_tol = 1e-9 * (1 + omega.max_abs()) ** 4
         if abs(lam) <= lam_tol:
             lam = 0.0
-    Q = q_form(omega, s, tol=eff_tol)
-    sig = signature(Q)
+    sig = signature(_q_of_k(K, s))
     branch = "hyperbolic" if lam > 0 else "elliptic" if lam < 0 else "degenerate"
     report = InvariantReport(lambda_=lam, signature=sig,
                              effective=True, nondegenerate=lam != 0, branch=branch)
@@ -167,17 +168,22 @@ def build_gcy(omega, s):
     """Normalize ω by |λ|^(1/4) and assemble the 5-tuple (g, Ω, K, α, β).
 
     Exact inputs require |λ| to be a rational fourth power; otherwise the
-    float backend must be used.
+    float backend must be used.  One K is built: K(ω/r) = K(ω)/r².
     """
-    lam = pfaffian(omega, s)
+    K = hitchin_k(omega, s)
+    lam = _lambda_of_k(K)
     if lam == 0:
         raise DegenerateFormError("cannot build the structure for λ = 0")
     exact = not isinstance(lam, float)
     root = _abs_pow(lam, 1, 4, exact)
     normalized = omega * (1 / root)
-    K = hitchin_k(normalized, s)
-    g = q_form(normalized, s, tol=0 if exact else 1e-9 * (1 + normalized.max_abs()))
-    sp = split_pair(normalized, s)
+    eff_tol = 0 if exact else 1e-9 * (1 + normalized.max_abs())
+    if not is_effective(s, normalized, tol=eff_tol):
+        raise EffectivenessError("the structure requires an effective 3-form")
+    r2 = root * root
+    K = [[e / r2 for e in row] for row in K]
+    g = _q_of_k(K, s)
+    sp = _split(normalized, *_dual(normalized, K), s.theta)
     omega3_over_theta = -6  # Ω³ = −6θ
     ratio = theta_pairing(sp.alpha, sp.beta, s) / omega3_over_theta
     return GczStructure(g=g, omega=s.omega, K=tuple(map(tuple, K)),

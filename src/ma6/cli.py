@@ -48,7 +48,6 @@ from .hitchin import (
     pfaffian,
     split_pair,
 )
-from .lr import q_form, signature
 from .symplectic import EffectivenessError, project_effective, standard_space
 
 EXIT_PASS = 0

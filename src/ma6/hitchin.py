@@ -171,9 +171,8 @@ def _abs_pow(lam, num, den, exact):
     return float(a) ** (num / den)
 
 
-def _dual(omega, space_or_theta):
-    """(λ, exact, ω̂) from one K: ω̂ = |λ|^(−3/2)·K*ω = λ/(3|λ|^(3/2))·K·ω."""
-    K = hitchin_k(omega, space_or_theta)
+def _dual(omega, K):
+    """(λ, exact, ω̂) from ω and its K: ω̂ = |λ|^(−3/2)·K*ω = λ/(3|λ|^(3/2))·K·ω."""
     lam = _lambda_of_k(K)
     if lam == 0:
         raise DegenerateFormError("degenerate 3-form (λ = 0) has no dual")
@@ -185,7 +184,7 @@ def _dual(omega, space_or_theta):
 
 def dual_form(omega, space_or_theta):
     """Hitchin's dual form ω̂ = |λ|^(−3/2) K*ω (requires λ ≠ 0)."""
-    return _dual(omega, space_or_theta)[2]
+    return _dual(omega, hitchin_k(omega, space_or_theta))[2]
 
 
 class SplitPair:
@@ -207,7 +206,7 @@ class SplitPair:
 
 def split_pair(omega, space_or_theta):
     theta = _theta_of(space_or_theta)
-    return _split(omega, *_dual(omega, theta), theta)
+    return _split(omega, *_dual(omega, hitchin_k(omega, theta)), theta)
 
 
 def _split(omega, lam, exact, dual, theta):

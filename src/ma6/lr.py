@@ -1,9 +1,15 @@
 """The quadratic invariant of an effective 3-form, its Sylvester signature,
-the characteristic pencil, and the sp(3) membership test."""
+the characteristic pencil, and the sp(3) membership test.
+
+q_ω is read off Hitchin's K through the calibrated Lychagin–Roubtsov
+identity 2·q_ω(X) = Ω(K_ωX, X).  With A the matrix of Ω and M = KᵀA, the
+matrix of q_ω is Q = (M + Mᵀ)/4, which is (KᵀA − AK)/4 as A is
+antisymmetric, and K lies in sp(3) iff M is symmetric.  The characteristic
+pencil gives q_ω independently of K, and `compat_q_k` compares the two.
+"""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -11,17 +17,14 @@ from functools import lru_cache
 from .exterior import (
     COMBS,
     DIM,
-    POS,
     Bivector6,
     KForm,
-    QuadraticTable,
     interior_bivector,
     interior_vector,
-    merge_sign,
     wedge,
 )
 from .symplectic import EffectivenessError, is_effective
-from .hitchin import mat_mul
+from .hitchin import _k_table, hitchin_k
 
 
 @dataclass(frozen=True)
@@ -60,55 +63,38 @@ class CubicPencil:
     c0: object
 
 
-# the entries (a, b), a ≤ b, of a symmetric 6x6 matrix in row order
-_UPPER = list(itertools.combinations_with_replacement(range(DIM), 2))
+def _kt_a(K, s):
+    """M = KᵀA, A the matrix of Ω, summed over A's nonzero entries only."""
+    real = isinstance(K[0][0], float)
+    M = [[0] * DIM for _ in range(DIM)]
+    for k, row in enumerate(s.matrix):
+        for j, a in enumerate(row):
+            if a != 0:
+                a = float(a) if real else a
+                for i in range(DIM):
+                    M[i][j] += K[k][i] * a
+    return M
 
 
-@lru_cache(maxsize=32, typed=True)
-def _q_table(*x_omega):
-    """Q as a quadratic table in the coefficients of ω, one entry per
-    _UPPER pair, for the space with dual bivector x_omega.
-
-    Q_ab = −¼ ⊥²(i_{e_a}ω ∧ i_{e_b}ω).  ⊥ is i_{X_Ω} with i_{X∧Y} = i_Y ∘ i_X,
-    so ⊥² of a basis 4-form e_L sums x_P·x_R·e_L(e_P, e_R) over the splits
-    L = P ⊔ R into pairs; i_{e_a}ω has coefficient ±ω_{P∪{a}} on e_P (the
-    sign of e_a ∧ e_P), and the wedge sends e_P ∧ e_R to ±e_L.
-    """
-    x = dict(zip(COMBS[2], x_omega))
-    entries = [{} for _ in _UPPER]
-    for L in COMBS[4]:
-        splits = []
-        for P in itertools.combinations(L, 2):
-            R = tuple(k for k in L if k not in P)
-            splits.append((P, R, merge_sign(P, R)[0]))
-        bot2 = sum(sign * x[P] * x[R] for P, R, sign in splits if x[P] and x[R])
-        if bot2 == 0:
-            continue
-        # integer multiplicities of e_L first, one rational product each after
-        mult = {}
-        for P, R, sign in splits:
-            for n, (a, b) in enumerate(_UPPER):
-                sign_a, I = merge_sign((a + 1,), P)
-                sign_b, J = merge_sign((b + 1,), R)
-                if sign_a and sign_b:
-                    key = (n, *sorted((POS[3][I], POS[3][J])))
-                    mult[key] = mult.get(key, 0) + sign * sign_a * sign_b
-        c = Fraction(-1, 4) * bot2
-        for (n, i, j), m in mult.items():
-            entries[n][i, j] = entries[n].get((i, j), 0) + m * c
-    return QuadraticTable(entries)
+def _q_of_k(K, s):
+    """Q of the form whose K-map is K: Q = (M + Mᵀ)/4 with M = KᵀA."""
+    M = _kt_a(K, s)
+    quarter = 0.25 if isinstance(M[0][0], float) else Fraction(1, 4)
+    Q = [[0] * DIM for _ in range(DIM)]
+    for i in range(DIM):
+        for j in range(i, DIM):
+            Q[i][j] = Q[j][i] = (M[i][j] + M[j][i]) * quarter
+    return QuadForm6(tuple(tuple(row) for row in Q))
 
 
 def q_form(omega, s, tol=0):
-    """Q with Q(X) = −(1/4) ⊥²(i_X ω ∧ i_X ω); requires ω effective."""
+    """Q with Q(X) = −(1/4) ⊥²(i_X ω ∧ i_X ω), read off Hitchin's K;
+    requires ω effective."""
     if omega.grade != 3:
         raise ValueError("q_form takes a 3-form")
     if not is_effective(s, omega, tol=tol):
         raise EffectivenessError("q_form requires an effective 3-form")
-    Q = [[0] * DIM for _ in range(DIM)]
-    for (a, b), v in zip(_UPPER, _q_table(*s.x_omega.coeffs)(omega.coeffs)):
-        Q[a][b] = Q[b][a] = v
-    return QuadForm6(tuple(tuple(row) for row in Q))
+    return _q_of_k(hitchin_k(omega, s), s)
 
 
 @lru_cache(maxsize=32, typed=True)
@@ -124,11 +110,6 @@ def _bot_matrix(*x_omega):
     return M
 
 
-# Q_ab's position in the _UPPER order, for every (a, b)
-_SYMMETRIC = [[_UPPER.index((min(a, b), max(a, b))) for b in range(DIM)]
-              for a in range(DIM)]
-
-
 def q_matrices(W, s):
     """The matrices of q_form at each row of the float array W of 3-form
     coefficients, shape (N, 20): an (N, 6, 6) float array.  Every row must
@@ -140,7 +121,9 @@ def q_matrices(W, s):
     bot = np.abs(np.einsum("nI,Ia->na", W, _bot_matrix(*x_omega))).max(axis=1)
     if not (bot <= 1e-9 * (1 + np.abs(W).max(axis=1))).all():
         raise EffectivenessError("q_form requires an effective 3-form")
-    return _q_table(*x_omega).batch(W)[:, _SYMMETRIC]
+    K = (_k_table().batch(W) / float(s.theta.coeffs[0])).reshape(-1, DIM, DIM)
+    M = np.einsum("nki,kj->nij", K, np.array(s.matrix, dtype=float))
+    return (M + M.transpose(0, 2, 1)) / 4
 
 
 # One-time calibration: with ⊥ pinned by the commutator identity (⊥Ω = 3),
@@ -153,29 +136,23 @@ COMPAT_SCALE = 2
 def compat_q_k(omega, s, K=None):
     """Residual of the calibrated identity 2·q_ω(X) = Ω(K_ω X, X).
 
-    The matrix form reads 2Q = sym(Kᵀ A) with A the matrix of Ω; returns the
+    q_ω is read off the characteristic pencil, not from K: its polarized ξ
+    coefficient Q_ab = −3·(i_{e_a}ω ∧ i_{e_b}ω ∧ Ω)/Ω³.  The matrix form of
+    the identity reads 2Q = sym(KᵀA) with A the matrix of Ω; returns the
     largest absolute deviation (0 means the identity holds exactly).
     """
-    from .hitchin import hitchin_k
-
-    Q = q_form(omega, s, tol=_float_tol(omega))
     if K is None:
         K = hitchin_k(omega, s)
-    A = s.matrix
-    M = mat_mul([[K[j][i] for j in range(DIM)] for i in range(DIM)], A)
+    top = _omega_cubed(s)
+    phis = [interior_vector([int(i == a) for i in range(DIM)], omega) for a in range(DIM)]
+    M = _kt_a(K, s)
+    half = 0.5 if isinstance(M[0][0], float) else Fraction(1, 2)
     res = 0
-    half = Fraction(1, 2) if not isinstance(M[0][0], float) else 0.5
     for i in range(DIM):
-        for j in range(DIM):
-            sym = (M[i][j] + M[j][i]) * half
-            res = max(res, abs(COMPAT_SCALE * Q.matrix[i][j] - sym))
+        for j in range(i, DIM):
+            q = _pencil_c1(phis[i], phis[j], s, top)
+            res = max(res, abs(COMPAT_SCALE * q - (M[i][j] + M[j][i]) * half))
     return res
-
-
-def _float_tol(omega):
-    if any(isinstance(c, float) for c in omega.coeffs):
-        return 1e-9 * (1 + omega.max_abs())
-    return 0
 
 
 def signature(Q, tol=1e-9):
@@ -231,6 +208,16 @@ def signature(Q, tol=1e-9):
     return Signature(pos, neg, zero)
 
 
+def _omega_cubed(s):
+    O = s.omega
+    return wedge(wedge(O, O), O).coeffs[0]
+
+
+def _pencil_c1(phi, psi, s, top):
+    """−3·(φ ∧ ψ ∧ Ω)/Ω³ for 2-forms φ, ψ; top is Ω³."""
+    return -3 * wedge(wedge(phi, psi), s.omega).coeffs[0] / top
+
+
 def char_pencil(omega, s, X):
     """Expand (i_Xω − ξΩ)³ / Ω³ as a cubic in ξ.
 
@@ -241,19 +228,17 @@ def char_pencil(omega, s, X):
         raise ValueError("char_pencil takes a 3-form")
     phi = interior_vector(X, omega)
     O = s.omega
-    top = wedge(wedge(O, O), O).coeffs[0]
+    top = _omega_cubed(s)
     c0 = wedge(wedge(phi, phi), phi).coeffs[0] / top
-    c1 = -3 * wedge(wedge(phi, phi), O).coeffs[0] / top
+    c1 = _pencil_c1(phi, phi, s, top)
     c2 = 3 * wedge(wedge(phi, O), O).coeffs[0] / top
     c3 = -1 if not isinstance(c0, float) else -1.0
     return CubicPencil(c3, c2, c1, c0)
 
 
 def in_sp3(K, s, tol=0):
-    """True iff Ω(KX, Y) + Ω(X, KY) = 0 for all X, Y, i.e. Kᵀ A + A K = 0."""
-    A = s.matrix
-    Kt = [[K[j][i] for j in range(DIM)] for i in range(DIM)]
-    M1 = mat_mul(Kt, A)
-    M2 = mat_mul(A, K)
-    res = max(abs(M1[i][j] + M2[i][j]) for i in range(DIM) for j in range(DIM))
+    """True iff Ω(KX, Y) + Ω(X, KY) = 0 for all X, Y, i.e. Kᵀ A + A K = 0:
+    as A is antisymmetric, iff M = KᵀA is symmetric."""
+    M = _kt_a(K, s)
+    res = max(abs(M[i][j] - M[j][i]) for i in range(DIM) for j in range(i + 1, DIM))
     return res <= tol

@@ -2,9 +2,14 @@
 symplectic changes of basis, and the assembled Calabi-Yau-type data."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import ma6.hitchin
+import ma6.symplectic
 
 from ma6.classify import (
     OrbitClass,
@@ -16,8 +21,8 @@ from ma6.classify import (
 )
 from ma6.exterior import KForm
 from ma6.hitchin import ExactnessError, k_squared, pfaffian
-from ma6.lr import in_sp3
-from ma6.symplectic import EffectivenessError
+from ma6.lr import in_sp3, q_form
+from ma6.symplectic import EffectivenessError, project_effective
 
 from conftest import rand_fraction
 
@@ -48,18 +53,11 @@ def test_table_rows_classify(space):
             assert (sig.pos, sig.neg) == PRINTED_SIGNATURES[row], (row, p)
 
 
-def random_symplectic(rng, n_factors=6):
-    """A random symplectic matrix: a product of symplectic transvections
-    built from the standard symplectic form's matrix."""
-    # A = matrix of Ω in the basis; transvection: x ↦ x + c·Ω(x, v)·v
-    from ma6.symplectic import standard_space
-
-    s = standard_space()
-    A = s.matrix
+def symplectic_shears(A, shears):
+    """The product of the symplectic transvections x ↦ x + c·Ω(x, v)·v, one
+    per (v, c) in shears, for the Ω with matrix A."""
     M = [[Fraction(int(i == j)) for j in range(6)] for i in range(6)]
-    for _ in range(n_factors):
-        v = [Fraction(rng.randint(-2, 2)) for _ in range(6)]
-        c = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+    for v, c in shears:
         # T e_j = e_j + c·Ω(e_j, v)·v
         T = [[Fraction(int(i == j)) for j in range(6)] for i in range(6)]
         for j in range(6):
@@ -69,6 +67,17 @@ def random_symplectic(rng, n_factors=6):
         M = [[sum(M[i][k] * T[k][j] for k in range(6)) for j in range(6)]
              for i in range(6)]
     return M
+
+
+def random_symplectic(rng, n_factors=6):
+    """A random symplectic matrix of the standard symplectic form: a product
+    of n_factors transvections."""
+    from ma6.symplectic import standard_space
+
+    shears = [([Fraction(rng.randint(-2, 2)) for _ in range(6)],
+               Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+              for _ in range(n_factors)]
+    return symplectic_shears(standard_space().matrix, shears)
 
 
 def test_symplectic_matrices_preserve_omega(space, rng):
@@ -124,3 +133,54 @@ def test_build_gcy_normalizes(space):
     st1 = build_gcy(table1_form(1, Fraction(1)), space)
     st2 = build_gcy(table1_form(1, Fraction(1)) * Fraction(3), space)
     assert st1.K == st2.K
+
+
+_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+_shears = st.lists(st.tuples(st.lists(st.integers(-2, 2), min_size=6, max_size=6),
+                             st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))),
+                   min_size=1, max_size=4)
+
+
+@settings(max_examples=20, deadline=None)
+@given(coeffs=st.lists(_fractions, min_size=20, max_size=20), shears=_shears)
+def test_q_and_class_are_symplectic_invariants(space, other_space, coeffs, shears):
+    """For g an exact product of Sp(6) shears of Ω, on both spaces:
+    Q(g*ω) = gᵀQ(ω)g and classify(g*ω) == classify(ω)."""
+    for s in (space, other_space):
+        g = symplectic_shears(s.matrix, shears)
+        omega = project_effective(s, KForm(3, coeffs))
+        moved = omega.pullback(g)
+        Q = q_form(omega, s).matrix
+        gtqg = [[sum(g[k][i] * Q[k][l] * g[l][j] for k in range(6) for l in range(6))
+                 for j in range(6)] for i in range(6)]
+        assert [list(row) for row in q_form(moved, s).matrix] == gtqg
+        assert classify(moved, s) == classify(omega, s)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of hitchin_k and symplectic.bot calls, under every name a ma6
+    module imported them by."""
+    counts = {"hitchin_k": 0, "bot": 0}
+    for name, fn in (("hitchin_k", ma6.hitchin.hitchin_k), ("bot", ma6.symplectic.bot)):
+        def counting(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if (mod_name == "ma6" or mod_name.startswith("ma6.")) \
+                    and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("p", [Fraction(1), 1.5])
+def test_classify_and_build_gcy_build_one_k(space, calls, p):
+    """classify and build_gcy each build K once and run the ⊥ guard once:
+    λ, Q, the normalized K and the dual all come from that K."""
+    omega = table1_form(1, p)
+    classify(omega, space)
+    assert calls == {"hitchin_k": 1, "bot": 1}
+    calls.update(hitchin_k=0, bot=0)
+    build_gcy(omega, space)
+    assert calls == {"hitchin_k": 1, "bot": 1}

@@ -8,11 +8,10 @@ import pytest
 
 from ma6.exterior import KForm, interior_vector, wedge
 from ma6.hitchin import _k_table, hitchin_k
+import ma6.lr
 from ma6.lr import (
     COMPAT_SCALE,
     QuadForm6,
-    _UPPER,
-    _q_table,
     char_pencil,
     compat_q_k,
     in_sp3,
@@ -20,7 +19,7 @@ from ma6.lr import (
     q_matrices,
     signature,
 )
-from ma6.symplectic import EffectivenessError, bot, is_effective, top
+from ma6.symplectic import EffectivenessError, bot, is_effective, project_effective, top
 
 from conftest import rand_effective, rand_form, rand_vector
 
@@ -47,10 +46,10 @@ def reference_q(omega, s):
     return Q
 
 
-def test_q_table_matches_definition(space, other_space, rng):
-    """On 200 rational effective forms, alternating between two spaces (the
-    table is cached per space): exact Q equals its definition; float Q is
-    all floats, within 1e-12·(1+|ω|)² of it."""
+def test_q_form_matches_definition(space, other_space, rng):
+    """On 200 rational effective forms, alternating between two spaces:
+    exact Q equals its definition; float Q is all floats, within
+    1e-12·(1+|ω|)² of it."""
     for n in range(200):
         s = space if n % 2 else other_space
         omega = rand_effective(rng, s)
@@ -65,29 +64,32 @@ def test_q_table_matches_definition(space, other_space, rng):
                 assert abs(e - r) <= 1e-12 * scale ** 2
 
 
-def test_q_table_matches_sympy_expansion(space, other_space):
-    """On a symbolic ω with 20 coefficients, over both spaces, the expanded
-    q table has the same coefficients as the reference definition of Q."""
+def test_q_form_matches_sympy_expansion(space, other_space):
+    """On the effective projection of a symbolic ω with 20 coefficients, over
+    both spaces, q_form (read off K) has the same polynomial entries as the
+    reference definition of Q."""
     sympy = pytest.importorskip("sympy")
     w = sympy.symbols("w0:20")
     for s in (space, other_space):
-        ref = reference_q(KForm(3, w), s)
-        table = _q_table(*s.x_omega.coeffs)(w)
-        for (a, b), entry in zip(_UPPER, table):
-            assert sympy.Poly(entry, *w).as_dict() == sympy.Poly(ref[a][b], *w).as_dict()
+        omega = project_effective(s, KForm(3, w))
+        ref = reference_q(omega, s)
+        Q = q_form(omega, s).matrix
+        for a in range(6):
+            for b in range(a, 6):
+                got = sympy.Poly(Q[a][b], *w).as_dict()
+                assert got == sympy.Poly(ref[a][b], *w).as_dict()
 
 
-def test_table_batch_matches_call(space, other_space, rng):
-    """QuadraticTable.batch on 100 float forms equals the table evaluated
-    form by form, for θ·K and for q on both spaces."""
+def test_table_batch_matches_call(rng):
+    """QuadraticTable.batch on 100 float forms equals the θ·K table
+    evaluated form by form."""
     W = np.array([[float(c) for c in rand_form(rng).coeffs] for _ in range(100)])
-    for table in (_k_table(), _q_table(*space.x_omega.coeffs),
-                  _q_table(*other_space.x_omega.coeffs)):
-        batch = table.batch(W)
-        for w, row in zip(W, batch):
-            scale = 1 + np.abs(w).max()
-            assert np.abs(row - table([float(c) for c in w])).max() <= 1e-12 * scale ** 2
-            assert list(row) == list(table([float(c) for c in w]))
+    table = _k_table()
+    batch = table.batch(W)
+    for w, row in zip(W, batch):
+        scale = 1 + np.abs(w).max()
+        assert np.abs(row - table([float(c) for c in w])).max() <= 1e-12 * scale ** 2
+        assert list(row) == list(table([float(c) for c in w]))
 
 
 def test_q_matrices_match_q_form(space, other_space, rng):
@@ -133,6 +135,22 @@ def test_compatibility_identity_exact(space, rng):
     for _ in range(40):
         omega = rand_effective(rng, space)
         assert compat_q_k(omega, space) == 0
+
+
+def test_compat_q_k_reads_q_off_the_pencil(space, other_space, rng, monkeypatch):
+    """compat_q_k takes q from the characteristic pencil, not from q_form
+    (which reads q off K): it is 0 with q_form disabled, and nonzero for a
+    wrong K = 2·K_ω."""
+    def no_q_form(*args, **kwargs):
+        raise AssertionError("compat_q_k must not call q_form")
+
+    monkeypatch.setattr(ma6.lr, "q_form", no_q_form)
+    for s in (space, other_space):
+        for _ in range(5):
+            omega = rand_effective(rng, s)
+            K = hitchin_k(omega, s)
+            assert compat_q_k(omega, s) == 0
+            assert compat_q_k(omega, s, K=[[2 * e for e in row] for row in K]) != 0
 
 
 def test_compat_bilinear_evaluation(space, rng):
