@@ -37,16 +37,16 @@ from .fields import (
     closedness_check,
     flatness_check,
     gcy_integrability_check,
-    lambda_field,
     ma_operator,
     sample_box,
 )
 from .hitchin import (
     DegenerateFormError,
     ExactnessError,
-    dual_form,
-    pfaffian,
-    split_pair,
+    _dual,
+    _lambda_of_k,
+    _split,
+    hitchin_k,
 )
 from .symplectic import EffectivenessError, project_effective, standard_space
 
@@ -188,25 +188,27 @@ def cmd_split(args):
     s = standard_space()
     form = _load_form(args)
     try:
-        lam = pfaffian(form, s)
+        # one K gives λ, the dual and the split; build_gcy builds its own
+        K = hitchin_k(form, s)
+        lam = _lambda_of_k(K)
         if lam == 0:
             raise DegenerateFormError("λ = 0")
+        structure = None
         try:
-            sp = split_pair(form, s)
-            dual = dual_form(form, s)
-            structure = None
+            dual_of = _dual(form, K)
+        except ExactnessError:
+            # irrational |λ| root: fall back to floats
+            form = KForm(form.grade, [float(c) for c in form.coeffs])
+            dual_of = _dual(form, hitchin_k(form, s))
+        else:
             try:
                 structure = build_gcy(form, s)
             except (ExactnessError, EffectivenessError):
                 pass
-        except ExactnessError:
-            # irrational |λ| root: fall back to floats
-            form = KForm(form.grade, [float(c) for c in form.coeffs])
-            sp = split_pair(form, s)
-            dual = dual_form(form, s)
-            structure = None
     except DegenerateFormError as e:
         raise CliError(EXIT_DEGENERATE, str(e))
+    dual = dual_of[2]
+    sp = _split(form, *dual_of, s.theta)
     report = {
         "command": "split",
         "lambda": lam,
@@ -293,13 +295,10 @@ def cmd_check_structure(args):
     box = _parse_box(args.box, 6)
     points = sample_box(box, args.samples, seed=args.seed)
     try:
-        for x in points:
-            lambda_field(fld, s, x)  # nondegeneracy sweep
-    except DegeneratePointError as e:
-        raise CliError(EXIT_DEGENERATE, str(e))
-    try:
         closed = closedness_check(fld, s, points, h=args.h, tol=args.tol)
         integ = gcy_integrability_check(fld, s, points, h=args.h, tol=args.tol)
+    except DegeneratePointError as e:
+        raise CliError(EXIT_DEGENERATE, str(e))
     except BranchChangeError as e:
         raise CliError(EXIT_DEGENERATE, f"branch change: {e}")
     flat = flatness_check(MetricField.from_q_field(fld, s), points,

@@ -275,25 +275,27 @@ class QuadraticTable:
             return tuple(sum([c * u[i] * v[j] for i, j, c in e], 0.0) for e in self.floats)
         return tuple(sum(c * u[i] * v[j] for i, j, c in e) for e in self.exact)
 
-    def batch(self, W):
-        """The quadratic polynomials at each row w of the float array W, shape
-        (N, n): an (N, entries) array.  Each entry sums c·w_I·w_J over its
-        terms from 0.0 in table order, as ``__call__`` does on float input,
-        so the two agree bitwise."""
+    def batch(self, U, V=None):
+        """The polynomials at each row of the float arrays U and V, shape
+        (N, n) and (N, m): an (N, entries) array, quadratic in U if V is
+        None and bilinear in (U, V) otherwise.  Each entry sums c·u_I·v_J
+        over its terms from 0.0 in table order, as ``__call__`` does on float
+        input, so the two agree bitwise."""
         import numpy as np
 
         if self._arrays is None:
-            # term k of every entry, padded with the zero term 0·w_0·w_0
+            # term k of every entry, padded with the zero term 0·u_0·v_0
             width = max(len(e) for e in self.floats)
             padded = [[e[k] if k < len(e) else (0, 0, 0.0) for e in self.floats]
                       for k in range(width)]
             self._arrays = tuple(np.array([[t[n] for t in row] for row in padded])
                                  for n in range(3))
         I, J, C = self._arrays
-        Wt = np.asarray(W, dtype=float).T
-        acc = np.zeros((len(self.floats), Wt.shape[1]))
+        Ut = np.asarray(U, dtype=float).T
+        Vt = Ut if V is None else np.asarray(V, dtype=float).T
+        acc = np.zeros((len(self.floats), Ut.shape[1]))
         for i, j, c in zip(I, J, C):
-            acc += c[:, None] * Wt[i] * Wt[j]
+            acc += c[:, None] * Ut[i] * Vt[j]
         return acc.T
 
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
 from .exterior import COMBS, DIM, KForm, POS, _det, dim_grade, merge_sign
-from .hitchin import dual_form, pfaffian
+from .hitchin import _derivation_table, _k_table, _split, dual_form, pfaffian, theta_pairing
 from .poly import Poly
 
 DEFAULT_H = 1e-4
@@ -25,7 +26,8 @@ CURVATURE_TOL = 1e-5
 
 
 class BranchChangeError(ValueError):
-    """λ changes sign (or vanishes) across the sample region."""
+    """λ changes sign across the sample points, or between a sample point
+    and one of its stencil points."""
 
 
 class DegeneratePointError(ValueError):
@@ -101,38 +103,42 @@ def d_exact(fld):
     return FormField(k + 1, out)
 
 
-def _assemble_d(partials):
-    """Exterior derivative from the 6 coefficient-partial KForms."""
-    k = partials[0].grade
-    out = [0.0] * dim_grade(k + 1)
-    for a in range(1, DIM + 1):
-        pk = partials[a - 1]
-        for idx, c in zip(COMBS[k], pk.coeffs):
-            if c == 0:
-                continue
-            sign, merged = merge_sign((a,), idx)
+@lru_cache(maxsize=None)
+def _incidence(k):
+    """The signed incidence of grade k, shape (6·C(6, k), C(6, k + 1)): row
+    a·C(6, k) + I, column J holds the sign of e_{a+1} ∧ e_I on e_J, so the
+    partials ∂_a ω_I, flattened the same way, times it give dω."""
+    D = np.zeros((DIM, dim_grade(k), dim_grade(k + 1)))
+    for I, idx in enumerate(COMBS[k]):
+        for a in range(DIM):
+            sign, merged = merge_sign((a + 1,), idx)
             if sign:
-                out[POS[k + 1][merged]] += sign * c
-    return KForm(k + 1, out)
+                D[a, I, POS[k + 1][merged]] = sign
+    return D.reshape(DIM * dim_grade(k), -1)
 
 
-def _d_stencil(fn, x, h):
-    """Central-difference exterior derivatives at x of the forms in the tuple
-    fn(point); fn is called once per stencil point."""
-    x = list(x)
-    partials = []
-    for a in range(DIM):
-        xp = list(x)
-        xm = list(x)
-        xp[a] += h
-        xm[a] -= h
-        partials.append([(p - m) * (1.0 / (2 * h)) for p, m in zip(fn(xp), fn(xm))])
-    return tuple(_assemble_d(ps) for ps in zip(*partials))
+def _d_stencil(fn, x, h, grade):
+    """Central-difference exterior derivatives at x of forms of the given
+    grade k: fn maps the 12 points x ± h·e_a, an array of shape (12, 6) with
+    x + h·e_a in row 2a and x − h·e_a in row 2a + 1, to a tuple of
+    (12, C(6, k)) arrays of coefficients, and is called once.  Returns one
+    d, a C(6, k + 1) array, per array."""
+    points = np.tile(np.asarray(x, dtype=float), (2 * DIM, 1))
+    a = np.arange(DIM)
+    points[2 * a, a] += h
+    points[2 * a + 1, a] -= h
+    D = _incidence(grade)
+    return tuple(((F[0::2] - F[1::2]) * (1.0 / (2 * h))).reshape(-1) @ D
+                 for F in fn(points))
 
 
 def d_numeric(fld, x, h=DEFAULT_H):
-    """Central-difference exterior derivative of any field at a point."""
-    return _d_stencil(lambda y: (fld.evaluate(y),), x, h)[0]
+    """Central-difference exterior derivative of a real field at a point."""
+    def coeffs(points):
+        return (np.array([[float(c) for c in fld.evaluate(y).coeffs]
+                          for y in points.tolist()]),)
+
+    return KForm(fld.grade + 1, _d_stencil(coeffs, x, h, fld.grade)[0].tolist())
 
 
 class DiffeoMap:
@@ -396,9 +402,15 @@ def check_generalized_solution(L, fld, s, params, tol=DEFAULT_TOL):
 
 # --- pointwise invariants of a 3-form field -------------------------------
 
+def _degenerate(lam, scale):
+    """The degeneracy guard |λ| < 1e-8·(1 + |ω|)⁴, λ quartic in ω; for
+    numbers or for arrays of λ and |ω|."""
+    return abs(lam) < 1e-8 * (1 + scale) ** 4
+
+
 def _checked_pfaffian(omega, s, x):
     lam = pfaffian(omega, s)
-    if abs(lam) < 1e-8 * (1 + float(omega.max_abs())) ** 4:
+    if _degenerate(lam, float(omega.max_abs())):
         raise DegeneratePointError(f"|λ| below threshold at {tuple(x)}")
     return lam
 
@@ -406,12 +418,6 @@ def _checked_pfaffian(omega, s, x):
 def lambda_field(fld, s, x):
     """λ(ω(x)); raises DegeneratePointError below the degeneracy threshold."""
     return _checked_pfaffian(fld.evaluate(x), s, x)
-
-
-def _normalized_pair(omega, lam, s):
-    """|λ|^(−1/4)·ω and |λ|^(−1/4)·ω̂ for ω with pfaffian λ ≠ 0."""
-    r = 1.0 / abs(float(lam)) ** 0.25
-    return omega * r, dual_form(omega, s) * r
 
 
 def _sign_sweep(fld, s, points):
@@ -435,20 +441,48 @@ class CheckReport:
     details: dict = dc_field(default_factory=dict)
 
 
+def _normalized_d(fld, s, x, lam, h):
+    """d(nω) and d(nω̂) at x for the normalized pair nω = |λ|^(−1/4)·ω and
+    nω̂ = |λ|^(−1/4)·ω̂, with λ = λ(x) ≠ 0.  ω is evaluated once at each of
+    the 12 stencil points x ± h·e_a, and K, λ and K·ω, hence
+    ω̂ = λ/(3|λ|^(3/2))·K·ω, come for all 12 from the batched tables.  Each
+    stencil point must pass the degeneracy guard and have λ of the sign of
+    λ(x): a stencil that crosses the branch raises BranchChangeError."""
+    theta = float(s.theta.coeffs[0])
+
+    def pair(points):
+        W = np.array([[float(c) for c in fld.evaluate(y).coeffs]
+                      for y in points.tolist()])
+        K = _k_table().batch(W) / theta
+        K3 = K.reshape(-1, DIM, DIM)
+        lams = np.einsum("nij,nji->n", K3, K3) / 6
+        degenerate = _degenerate(lams, np.abs(W).max(axis=1))
+        if degenerate.any():
+            y = tuple(points[degenerate.argmax()].tolist())
+            raise DegeneratePointError(f"|λ| below threshold at {y}")
+        crossed = (lams > 0) != (lam > 0)
+        if crossed.any():
+            y = tuple(points[crossed.argmax()].tolist())
+            raise BranchChangeError(
+                f"λ changes sign between the sample point {tuple(x)} and its "
+                f"stencil point {y}")
+        r = 1.0 / np.abs(lams) ** 0.25
+        factor = lams / (3 * np.abs(lams) ** 1.5)
+        dual = _derivation_table().batch(K, W) * factor[:, None]
+        return W * r[:, None], dual * r[:, None]
+
+    return _d_stencil(pair, x, h, 3)
+
+
 def closedness_check(fld, s, points, h=DEFAULT_H, tol=DEFAULT_TOL):
     """d of both |λ|^(−1/4)-normalized fields (ω and ω̂) at sample points."""
-    _sign_sweep(fld, s, points)
-
-    def normalized_pair(x):
-        omega = fld.evaluate(x)
-        return _normalized_pair(omega, _checked_pfaffian(omega, s, x), s)
-
+    _, lams = _sign_sweep(fld, s, points)
     res_n = 0.0
     res_d = 0.0
-    for x in points:
-        dn, dd = _d_stencil(normalized_pair, x, h)
-        res_n = max(res_n, float(dn.max_abs()))
-        res_d = max(res_d, float(dd.max_abs()))
+    for x, lam in zip(points, lams):
+        dn, dd = _normalized_d(fld, s, x, lam, h)
+        res_n = max(res_n, float(np.abs(dn).max()))
+        res_d = max(res_d, float(np.abs(dd).max()))
     worst = max(res_n, res_d)
     return CheckReport(passed=worst <= tol, max_residual=worst,
                        n_points=len(points), tol=tol,
@@ -457,31 +491,27 @@ def closedness_check(fld, s, points, h=DEFAULT_H, tol=DEFAULT_TOL):
 
 def gcy_integrability_check(fld, s, points, h=DEFAULT_H, tol=DEFAULT_TOL):
     """dα = dβ = 0 for the pointwise splitting of the normalized field, plus
-    constancy of (α∧β)/Ω³.  The same stencil pass differentiates the
-    normalized pair, so the closedness verdict comes with it."""
-    from .hitchin import _split, theta_pairing
-
+    constancy of (α∧β)/Ω³.  d is linear, so dα and dβ come from d(nω) and
+    d(nω̂): (dnω ± dnω̂)/2 in the hyperbolic branch, (dnω ± i·dnω̂)/2 in the
+    elliptic one, where |dβ| = |dα|.  Which piece is α is decided by an
+    orientation that keeps its sign along a stencil of one branch, so the
+    larger residual of the two needs no split at the stencil points.  The
+    same pass gives the closedness verdict."""
     omegas, lams = _sign_sweep(fld, s, points)
-
-    def pieces(omega, lam):
-        """(nω, nω̂, α, β): the normalized pair and its splitting."""
-        n_omega, n_dual = _normalized_pair(omega, lam, s)
-        sp = _split(n_omega, lam, False, n_dual, s.theta)
-        return n_omega, n_dual, sp.alpha, sp.beta
-
-    def forms_at(x):
-        omega = fld.evaluate(x)
-        return pieces(omega, _checked_pfaffian(omega, s, x))
-
     res = 0.0
     res_closed = 0.0
     ratios = []
     for x, omega, lam in zip(points, omegas, lams):
-        dn, dd, da, db = _d_stencil(forms_at, x, h)
-        res_closed = max(res_closed, float(dn.max_abs()), float(dd.max_abs()))
-        res = max(res, float(da.max_abs()), float(db.max_abs()))
-        _, _, alpha, beta = pieces(omega, lam)
-        ratios.append(complex(_as_complex(theta_pairing(alpha, beta, s))) / -6)
+        dn, dd = _normalized_d(fld, s, x, lam, h)
+        res_closed = max(res_closed, float(np.abs(dn).max()), float(np.abs(dd).max()))
+        if lam > 0:
+            d_pieces = max(np.abs(dn + dd).max(), np.abs(dn - dd).max())
+        else:
+            d_pieces = np.abs(dn + 1j * dd).max()
+        res = max(res, float(d_pieces) / 2)
+        norm = 1.0 / abs(float(lam)) ** 0.25
+        sp = _split(omega * norm, lam, False, dual_form(omega, s) * norm, s.theta)
+        ratios.append(complex(_as_complex(theta_pairing(sp.alpha, sp.beta, s))) / -6)
     ratio_dev = max(abs(r - ratios[0]) for r in ratios)
     integrable = res <= tol and ratio_dev <= tol
     closed = res_closed <= tol

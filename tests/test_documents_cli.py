@@ -176,17 +176,31 @@ def test_cli_check_structure(tmp_path):
     assert rep["flatness_of_metric"]["passed"]
 
 
+# e234 − e135 + e126 − q1·e456: λ = −4·q1 changes sign at q1 = 0
+BRANCH_FIELD_DOC = {"version": 1, "scalar": "exact", "grade": 3, "coefficients": {
+    "234": {"0,0,0,0,0,0": "1"},
+    "135": {"0,0,0,0,0,0": "-1"},
+    "126": {"0,0,0,0,0,0": "1"},
+    "456": {"1,0,0,0,0,0": "-1"}}}
+
+
 def test_cli_check_structure_branch_change(tmp_path):
-    doc = {"version": 1, "scalar": "exact", "grade": 3, "coefficients": {
-        "234": {"0,0,0,0,0,0": "1"},
-        "135": {"0,0,0,0,0,0": "-1"},
-        "126": {"0,0,0,0,0,0": "1"},
-        "456": {"1,0,0,0,0,0": "-1"}}}
     f = tmp_path / "field.json"
-    f.write_text(json.dumps(doc))
+    f.write_text(json.dumps(BRANCH_FIELD_DOC))
     code, _ = run_cli(["check-structure", "--input", str(f),
                        "--box=-1.5,1.5", "--samples", "8"])
     assert code == 4
+
+
+def test_cli_check_structure_stencil_crosses_branch_exit4(tmp_path):
+    """At q1 = 5e-5 the sample point is on one branch and its stencil point
+    q1 − h on the other: a branch change, not a failed check."""
+    f = tmp_path / "field.json"
+    f.write_text(json.dumps(BRANCH_FIELD_DOC))
+    code, out = run_cli(["check-structure", "--input", str(f),
+                         "--box=0.00005,0.00005", "--samples", "1"])
+    assert code == 4
+    assert out == ""
 
 
 def test_cli_demo_s6():
@@ -287,3 +301,37 @@ def test_cli_check_solution_generalized_reads_input(form, code):
                            form_doc(form))
     assert proc.returncode == code, proc.stderr
     assert json.loads(proc.stdout)["passed"] == (code == 0)
+
+
+def test_cli_check_structure_degenerate_stencil_point_exit4():
+    """At q1 = 1e-4 the stencil point q1 − h has λ = 0: exit 4 with a
+    message naming the point, not a traceback."""
+    proc = run_cli_process(["check-structure", "--input", "-",
+                            "--box=0.0001,0.0001", "--samples", "1"],
+                           json.dumps(BRANCH_FIELD_DOC))
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    assert "|λ| below threshold at (0.0, 0.0001" in proc.stderr
+
+
+def test_cli_split_builds_k_twice(monkeypatch):
+    """ma6 split takes λ, the dual and the split from one K, and build_gcy
+    builds one more: at most 2 K per form over table rows 1–9."""
+    calls = []
+    hitchin_k = sys.modules["ma6.hitchin"].hitchin_k
+
+    def counting_hitchin_k(*args):
+        calls.append(1)
+        return hitchin_k(*args)
+
+    # ma6.classify is also the name of a function in the ma6 package
+    for module in (sys.modules["ma6.hitchin"], sys.modules["ma6.classify"], cli):
+        monkeypatch.setattr(module, "hitchin_k", counting_hitchin_k)
+    for row in range(1, 10):
+        for p in (Fraction(1), Fraction(3, 2)):
+            calls.clear()
+            code, out = run_cli(["split"], stdin_text=form_doc(table1_form(row, p)))
+            assert code in (0, 4)
+            assert len(calls) <= 2, (row, p)
+            if code == 0 and "structure" in json.loads(out):
+                assert len(calls) == 2

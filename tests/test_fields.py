@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from ma6.classify import table1_form
-from ma6.exterior import KForm, dim_grade
+from ma6.documents import parse_field
+from ma6.exterior import COMBS, POS, KForm, QuadraticTable, dim_grade, merge_sign
 from ma6.fields import (
+    DEFAULT_H,
+    DEFAULT_TOL,
     BranchChangeError,
     DegeneratePointError,
     DiffeoMap,
@@ -30,6 +33,7 @@ from ma6.fields import (
     sample_box,
     Submanifold3,
 )
+from ma6.hitchin import _k_table, _split, dual_form, pfaffian
 from ma6.poly import Poly
 
 from conftest import rand_fraction
@@ -149,21 +153,43 @@ def test_lambda_field_degenerate_raises(space):
         lambda_field(fld, space, [0.0] * 6)
 
 
-def test_branch_change_detected(space):
+def _branch_field():
+    """e234 − e135 + e126 − x₀·e456: λ = −4x₀, so the branch changes at
+    x₀ = 0, where λ vanishes."""
     def fn(x):
         return (KForm.basis(2, 3, 4, scale=1.0) - KForm.basis(1, 3, 5, scale=1.0)
                 + KForm.basis(1, 2, 6, scale=1.0)
                 - KForm.basis(4, 5, 6, scale=x[0]))
 
-    fld = FormField.from_pointwise(3, fn)
+    return FormField.from_pointwise(3, fn)
+
+
+def test_branch_change_detected(space):
     pts = [[-1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]]
     with pytest.raises(BranchChangeError):
-        closedness_check(fld, space, pts)
+        closedness_check(_branch_field(), space, pts)
 
 
-def test_closedness_and_integrability_agree(space):
-    """Constant, conformally-scaled, and engineered non-closed fields give
-    matching verdicts from the two criteria."""
+@pytest.mark.parametrize("check", [closedness_check, gcy_integrability_check])
+def test_stencil_crossing_branch_raises(space, check):
+    """At x₀ = 5e-5, λ = −2e-4 passes the degeneracy guard, but at the
+    stencil point x₀ − h, h = 1e-4, λ = +2e-4: the stencil crosses the
+    branch and is not differentiated."""
+    with pytest.raises(BranchChangeError, match="stencil point"):
+        check(_branch_field(), space, [[5e-5] * 6])
+
+
+@pytest.mark.parametrize("check", [closedness_check, gcy_integrability_check])
+def test_degenerate_stencil_point_raises(space, check):
+    """At x₀ = 1e-4 the stencil point x₀ − h has λ = 0; the error names it."""
+    with pytest.raises(DegeneratePointError, match=r"at \(0\.0, 0\.0001"):
+        check(_branch_field(), space, [[1e-4] * 6])
+
+
+def _criterion_11_fields():
+    """Acceptance criterion 11's five fields, each with its closedness
+    verdict: two constant fields, a conformally scaled one and two
+    engineered non-closed ones."""
     const_h = FormField.constant(KForm(3, [float(c)
                                            for c in table1_form(1, 1).coeffs]))
     const_e = FormField.constant(KForm(3, [float(c)
@@ -181,12 +207,17 @@ def test_closedness_and_integrability_agree(space):
         return (KForm(3, [float(c) for c in table1_form(2, 1).coeffs])
                 + KForm.basis(4, 5, 6, scale=-(x[0] ** 2)))
 
+    return [(const_h, True), (const_e, True),
+            (FormField.from_pointwise(3, conformal), True),
+            (FormField.from_pointwise(3, nonclosed_h), False),
+            (FormField.from_pointwise(3, nonclosed_e), False)]
+
+
+def test_closedness_and_integrability_agree(space):
+    """Constant, conformally-scaled, and engineered non-closed fields give
+    matching verdicts from the two criteria."""
     pts = sample_box([(-0.5, 0.5)] * 6, 5, seed=3)
-    expected = [True, True, True, False, False]
-    fields = [const_h, const_e, FormField.from_pointwise(3, conformal),
-              FormField.from_pointwise(3, nonclosed_h),
-              FormField.from_pointwise(3, nonclosed_e)]
-    for fld, want in zip(fields, expected):
+    for fld, want in _criterion_11_fields():
         c = closedness_check(fld, space, pts)
         g = gcy_integrability_check(fld, space, pts)
         assert c.passed == want
@@ -243,19 +274,84 @@ def test_pullback_field_poly_grade_four(space):
         Poly.var(0) + 2 * Poly.var(5) - Poly.var(2)
 
 
+def _pointwise_d(fn, x, h):
+    """max |d| at x of each form in fn(point), by central differences at the
+    12 stencil points, one call of fn each, assembled term by term."""
+    partials = []
+    for a in range(6):
+        xp, xm = list(x), list(x)
+        xp[a] += h
+        xm[a] -= h
+        partials.append([(p - m) * (1.0 / (2 * h)) for p, m in zip(fn(xp), fn(xm))])
+    worst = []
+    for forms in zip(*partials):
+        k = forms[0].grade
+        d = [0.0] * dim_grade(k + 1)
+        for a, form in enumerate(forms, 1):
+            for idx, c in zip(COMBS[k], form.coeffs):
+                sign, merged = merge_sign((a,), idx)
+                if sign:
+                    d[POS[k + 1][merged]] += sign * c
+        worst.append(max(abs(c) for c in d))
+    return worst
+
+
+def _pointwise_residuals(fld, s, points, h=DEFAULT_H):
+    """The closedness and integrability residuals with every stencil point
+    taken alone: λ from pfaffian, ω̂ from dual_form and α, β from _split,
+    each of nω, nω̂, α and β differentiated."""
+    def forms_at(y):
+        omega = fld.evaluate(y)
+        lam = pfaffian(omega, s)
+        r = 1.0 / abs(float(lam)) ** 0.25
+        n_omega, n_dual = omega * r, dual_form(omega, s) * r
+        sp = _split(n_omega, lam, False, n_dual, s.theta)
+        return n_omega, n_dual, sp.alpha, sp.beta
+
+    closed = integ = 0.0
+    for x in points:
+        dn, dd, da, db = _pointwise_d(forms_at, x, h)
+        closed = max(closed, dn, dd)
+        integ = max(integ, da, db)
+    return closed, integ
+
+
+def test_stencil_checks_match_pointwise_reference(space):
+    """The batched stencils agree with the pointwise path on criterion 11's
+    fields and a polynomial field c(x)·(dq123 + dp123), c = 1 + 3/2·q1² +
+    p2²: the same verdicts, and residuals within 1e-9·(1 + r)."""
+    coeff = {"0,0,0,0,0,0": "1", "2,0,0,0,0,0": "3/2", "0,0,0,0,2,0": "1"}
+    poly = parse_field({"version": 1, "scalar": "exact", "grade": 3,
+                        "coefficients": {"123": coeff, "456": coeff}})
+    pts = sample_box([(-0.5, 0.5)] * 6, 5, seed=3)
+    for fld, want in _criterion_11_fields() + [(poly, True)]:
+        closed_ref, integ_ref = _pointwise_residuals(fld, space, pts)
+        c = closedness_check(fld, space, pts)
+        g = gcy_integrability_check(fld, space, pts)
+        assert c.passed == (closed_ref <= DEFAULT_TOL) == want
+        assert (g.max_residual <= DEFAULT_TOL) == (integ_ref <= DEFAULT_TOL) == want
+        assert g.passed == want
+        assert abs(c.max_residual - closed_ref) <= 1e-9 * (1 + closed_ref)
+        assert abs(g.max_residual - integ_ref) <= 1e-9 * (1 + integ_ref)
+
+
 def test_pointwise_field_evaluated_once_per_point(space, monkeypatch):
-    """One sample point: 12 stencil points and the point itself.  Each takes
-    one field evaluation and the degeneracy-guard pfaffian; dual_form takes
-    λ from its own K, so K is built twice per stencil point and once for the
-    sign sweep, plus once for the dual at the point itself in the
-    integrability check, which differentiates the normalized pair in the
-    same stencil pass instead of running closedness_check."""
+    """One sample point: the field is evaluated there and at its 12 stencil
+    points, once each.  K is built with hitchin_k only at the sample point,
+    once for the sign sweep's pfaffian and, in the integrability check, once
+    more for the dual the split needs there; the 12 stencil points take θ·K
+    from one batch of the K table.  The integrability check differentiates
+    the normalized pair in the same stencil pass instead of running
+    closedness_check."""
     import ma6.fields
     import ma6.hitchin
 
     counts = {"field": 0, "pfaffian": 0, "hitchin_k": 0}
+    k_batches = []
     pfaffian = ma6.hitchin.pfaffian
     hitchin_k = ma6.hitchin.hitchin_k
+    batch = QuadraticTable.batch
+    k_table = _k_table()
 
     def counting_pfaffian(*args):
         counts["pfaffian"] += 1
@@ -265,6 +361,11 @@ def test_pointwise_field_evaluated_once_per_point(space, monkeypatch):
         counts["hitchin_k"] += 1
         return hitchin_k(*args)
 
+    def counting_batch(self, U, V=None):
+        if self is k_table:
+            k_batches.append(len(U))
+        return batch(self, U, V)
+
     def fn(x):
         counts["field"] += 1
         return KForm.basis(1, 2, 3, scale=1.0 + x[3] ** 2) + \
@@ -273,22 +374,26 @@ def test_pointwise_field_evaluated_once_per_point(space, monkeypatch):
     monkeypatch.setattr(ma6.hitchin, "pfaffian", counting_pfaffian)
     monkeypatch.setattr(ma6.fields, "pfaffian", counting_pfaffian)
     monkeypatch.setattr(ma6.hitchin, "hitchin_k", counting_hitchin_k)
+    monkeypatch.setattr(QuadraticTable, "batch", counting_batch)
     fld = FormField.from_pointwise(3, fn)
     pts = sample_box([(-0.5, 0.5)] * 6, 1, seed=3)
     closedness_check(fld, space, pts)
-    assert counts["field"] <= 13
-    assert counts["pfaffian"] <= 13
-    assert counts["hitchin_k"] <= 25
+    assert counts["field"] == 13
+    assert counts["pfaffian"] <= 1
+    assert counts["hitchin_k"] <= 1
+    assert k_batches == [12]
     counts["field"] = counts["pfaffian"] = counts["hitchin_k"] = 0
+    k_batches.clear()
 
     def no_closedness_check(*args, **kwargs):
         raise AssertionError("closedness_check called")
 
     monkeypatch.setattr(ma6.fields, "closedness_check", no_closedness_check)
     gcy_integrability_check(fld, space, pts)
-    assert counts["field"] <= 13
-    assert counts["pfaffian"] <= 13
-    assert counts["hitchin_k"] <= 26
+    assert counts["field"] == 13
+    assert counts["pfaffian"] <= 1
+    assert counts["hitchin_k"] <= 2
+    assert k_batches == [12]
 
 
 def test_riemann_evaluates_metric_once_per_stencil_point():

@@ -4,6 +4,7 @@ splitting in both branches."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ma6.classify import build_gcy, table1_form
@@ -291,3 +292,15 @@ def test_tables_match_sympy_expansion(space, other_space):
         assert [coeffs(c / t) for c in table_k] == [coeffs(e) for row in K for e in row]
         table_dot = _derivation_table()([e for row in K for e in row], w)
         assert [coeffs(c) for c in table_dot] == [coeffs(c) for c in reference_k_dot(omega, K)]
+
+
+def test_bilinear_batch_matches_call(space, rng):
+    """The derivation table's batch on 100 float pairs (K, ω) equals the
+    table evaluated pair by pair, bitwise."""
+    forms = [[float(c) for c in rand_form(rng).coeffs] for _ in range(100)]
+    Ks = [[float(e) for row in hitchin_k(rand_form(rng), space) for e in row]
+          for _ in range(100)]
+    batch = _derivation_table().batch(np.array(Ks), np.array(forms))
+    assert batch.shape == (100, 20)
+    for k, w, row in zip(Ks, forms, batch):
+        assert list(row) == list(_derivation_table()(k, w))
