@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -297,12 +298,14 @@ def cmd_check_structure(args):
     try:
         closed = closedness_check(fld, s, points, h=args.h, tol=args.tol)
         integ = gcy_integrability_check(fld, s, points, h=args.h, tol=args.tol)
+        flat = flatness_check(MetricField.from_q_field(fld, s), points,
+                              h=args.h, tol=CURVATURE_TOL)
     except DegeneratePointError as e:
         raise CliError(EXIT_DEGENERATE, str(e))
     except BranchChangeError as e:
         raise CliError(EXIT_DEGENERATE, f"branch change: {e}")
-    flat = flatness_check(MetricField.from_q_field(fld, s), points,
-                          h=args.h, tol=CURVATURE_TOL)
+    except EffectivenessError as e:
+        raise CliError(EXIT_NOT_EFFECTIVE, str(e))
     passed = closed.passed and integ.passed
     report = {
         "command": "check-structure",
@@ -402,10 +405,30 @@ def _demo_s6(args):
 
 # --- argument parsing -----------------------------------------------------
 
-def _add_common(p):
+def _number(kind, ok, what):
+    """An argparse type: text read as kind, rejected (exit 2) unless ok."""
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid ... value"
+    return parse
+
+
+_finite = _number(float, math.isfinite, "finite")
+_step = _number(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+_tolerance = _number(float, lambda v: math.isfinite(v) and v >= 0, "finite and ≥ 0")
+_samples = _number(int, lambda v: v >= 1, "≥ 1")
+
+
+def _add_common(p, tol=True, seed=True):
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--seed", type=int, default=0)
+    if tol:
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser():
@@ -415,49 +438,53 @@ def build_parser():
                     "symplectic space and the Monge-Ampère equations they encode.")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("classify", help="orbit class and invariants of a 3-form")
+    p = sub.add_parser("classify", help="orbit class and invariants of a 3-form",
+                       allow_abbrev=False)
     p.add_argument("--input", default="-")
     p.add_argument("--project", action="store_true",
                    help="project onto the effective part first")
     p.add_argument("--scalar", choices=("exact", "float"), default="exact")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(fn=cmd_classify)
 
-    p = sub.add_parser("split", help="decomposable splitting and dual form")
+    p = sub.add_parser("split", help="decomposable splitting and dual form",
+                       allow_abbrev=False)
     p.add_argument("--input", default="-")
     p.add_argument("--scalar", choices=("exact", "float"), default="exact")
-    _add_common(p)
+    _add_common(p, tol=False, seed=False)
     p.set_defaults(fn=cmd_split)
 
-    p = sub.add_parser("check-solution", help="check a (generalized) solution")
+    p = sub.add_parser("check-solution", help="check a (generalized) solution",
+                       allow_abbrev=False)
     p.add_argument("--solution", choices=_SOLUTIONS, required=True)
     p.add_argument("--input", default=None,
                    help="optional form/field document overriding the builtin form")
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=1.0)
+    p.add_argument("--gamma", type=_finite, default=0.0)
+    p.add_argument("--b", type=_finite, default=1.0)
     p.add_argument("--perturb", type=float, default=0.0,
                    help="add eps*x^3 to the candidate solution")
     p.add_argument("--box", default="0.5,2")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--h", type=float, default=DEFAULT_H)
+    p.add_argument("--samples", type=_samples, default=100)
     _add_common(p)
     p.set_defaults(fn=cmd_check_solution)
 
     p = sub.add_parser("check-structure",
-                       help="closedness / integrability / flatness of a field")
+                       help="closedness / integrability / flatness of a field",
+                       allow_abbrev=False)
     p.add_argument("--input", default="-")
     p.add_argument("--box", default="-0.5,0.5")
-    p.add_argument("--samples", type=int, default=5)
-    p.add_argument("--h", type=float, default=DEFAULT_H)
+    p.add_argument("--samples", type=_samples, default=5)
+    p.add_argument("--h", type=_step, default=DEFAULT_H)
     _add_common(p)
     p.set_defaults(fn=cmd_check_structure)
 
-    p = sub.add_parser("demo", help="run a case-study suite")
+    p = sub.add_parser("demo", help="run a case-study suite",
+                       allow_abbrev=False)
     p.add_argument("name", choices=("cs", "s6"))
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=1.0)
+    p.add_argument("--gamma", type=_finite, default=0.0)
+    p.add_argument("--b", type=_finite, default=1.0)
     p.add_argument("--box", default="0.5,2")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_samples, default=100)
     _add_common(p)
     p.set_defaults(fn=cmd_demo)
 

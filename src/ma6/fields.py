@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exterior import COMBS, DIM, KForm, POS, _det, dim_grade, merge_sign
-from .hitchin import _derivation_table, _k_table, _split, dual_form, pfaffian, theta_pairing
+from .hitchin import _derivation_table, _k_table, pfaffian, theta_pairing
 from .poly import Poly
 
 DEFAULT_H = 1e-4
@@ -79,6 +79,13 @@ class FormField:
             return self.fn(x)
         return KForm(self.grade, tuple(_entry_eval(c, x) for c in self.coeffs))
 
+    def batch(self, points):
+        """The coefficients at each of N points, one evaluation each: an
+        (N, C(6, k)) float array."""
+        rows = [[float(c) for c in self.evaluate(y).coeffs]
+                for y in np.asarray(points, dtype=float).tolist()]
+        return np.array(rows).reshape(len(rows), dim_grade(self.grade))
+
 
 def _to_poly(entry):
     return entry if isinstance(entry, Poly) else Poly.const(entry)
@@ -134,11 +141,8 @@ def _d_stencil(fn, x, h, grade):
 
 def d_numeric(fld, x, h=DEFAULT_H):
     """Central-difference exterior derivative of a real field at a point."""
-    def coeffs(points):
-        return (np.array([[float(c) for c in fld.evaluate(y).coeffs]
-                          for y in points.tolist()]),)
-
-    return KForm(fld.grade + 1, _d_stencil(coeffs, x, h, fld.grade)[0].tolist())
+    d, = _d_stencil(lambda points: (fld.batch(points),), x, h, fld.grade)
+    return KForm(fld.grade + 1, d.tolist())
 
 
 class DiffeoMap:
@@ -408,28 +412,45 @@ def _degenerate(lam, scale):
     return abs(lam) < 1e-8 * (1 + scale) ** 4
 
 
-def _checked_pfaffian(omega, s, x):
+def lambda_field(fld, s, x):
+    """λ(ω(x)), exact for exact ω; raises DegeneratePointError below the
+    degeneracy threshold."""
+    omega = fld.evaluate(x)
     lam = pfaffian(omega, s)
     if _degenerate(lam, float(omega.max_abs())):
         raise DegeneratePointError(f"|λ| below threshold at {tuple(x)}")
     return lam
 
 
-def lambda_field(fld, s, x):
-    """λ(ω(x)); raises DegeneratePointError below the degeneracy threshold."""
-    return _checked_pfaffian(fld.evaluate(x), s, x)
+def _normalized_pair(fld, s, points):
+    """λ, nω = |λ|^(−1/4)·ω and nω̂ = |λ|^(−1/4)·ω̂ at N points, arrays of
+    shape (N,), (N, 20) and (N, 20).  ω is evaluated once per point, and
+    θ·K, λ = tr(K²)/6 and K·ω, hence ω̂ = λ/(3|λ|^(3/2))·K·ω, come for all
+    N from the batched tables.  A point whose λ is not finite or fails the
+    degeneracy guard raises DegeneratePointError naming the first such."""
+    points = np.asarray(points, dtype=float).reshape(-1, DIM)
+    W = fld.batch(points)
+    K = _k_table().batch(W) / float(s.theta.coeffs[0])
+    K3 = K.reshape(-1, DIM, DIM)
+    lams = np.einsum("nij,nji->n", K3, K3) / 6
+    bad = ~np.isfinite(lams) | _degenerate(lams, np.abs(W).max(axis=1))
+    if bad.any():
+        i = bad.argmax()
+        what = "below threshold" if np.isfinite(lams[i]) else "not finite"
+        raise DegeneratePointError(f"|λ| {what} at {tuple(points[i].tolist())}")
+    r = 1.0 / np.abs(lams) ** 0.25
+    factor = lams / (3 * np.abs(lams) ** 1.5)
+    dual = _derivation_table().batch(K, W) * factor[:, None]
+    return lams, W * r[:, None], dual * r[:, None]
 
 
 def _sign_sweep(fld, s, points):
-    """ω and λ at each sample point, one evaluation each, behind the
-    degeneracy guard; λ must keep one sign across the points."""
-    omegas, lams = [], []
-    for x in points:
-        omegas.append(fld.evaluate(x))
-        lams.append(_checked_pfaffian(omegas[-1], s, x))
-    if len({lam > 0 for lam in lams}) != 1:
+    """The normalized pair at the sample points; λ must keep one sign
+    across them."""
+    lams, n_omega, n_dual = _normalized_pair(fld, s, points)
+    if len(set((lams > 0).tolist())) != 1:
         raise BranchChangeError("λ changes sign across the sample region")
-    return omegas, lams
+    return lams, n_omega, n_dual
 
 
 @dataclass
@@ -442,47 +463,27 @@ class CheckReport:
 
 
 def _normalized_d(fld, s, x, lam, h):
-    """d(nω) and d(nω̂) at x for the normalized pair nω = |λ|^(−1/4)·ω and
-    nω̂ = |λ|^(−1/4)·ω̂, with λ = λ(x) ≠ 0.  ω is evaluated once at each of
-    the 12 stencil points x ± h·e_a, and K, λ and K·ω, hence
-    ω̂ = λ/(3|λ|^(3/2))·K·ω, come for all 12 from the batched tables.  Each
-    stencil point must pass the degeneracy guard and have λ of the sign of
-    λ(x): a stencil that crosses the branch raises BranchChangeError."""
-    theta = float(s.theta.coeffs[0])
-
+    """d(nω) and d(nω̂) at x, where λ(x) = lam: the 12 stencil points
+    x ± h·e_a take their pair from one batch.  A stencil point with λ of
+    the other sign crosses the branch and raises BranchChangeError."""
     def pair(points):
-        W = np.array([[float(c) for c in fld.evaluate(y).coeffs]
-                      for y in points.tolist()])
-        K = _k_table().batch(W) / theta
-        K3 = K.reshape(-1, DIM, DIM)
-        lams = np.einsum("nij,nji->n", K3, K3) / 6
-        degenerate = _degenerate(lams, np.abs(W).max(axis=1))
-        if degenerate.any():
-            y = tuple(points[degenerate.argmax()].tolist())
-            raise DegeneratePointError(f"|λ| below threshold at {y}")
+        lams, n_omega, n_dual = _normalized_pair(fld, s, points)
         crossed = (lams > 0) != (lam > 0)
         if crossed.any():
             y = tuple(points[crossed.argmax()].tolist())
             raise BranchChangeError(
                 f"λ changes sign between the sample point {tuple(x)} and its "
                 f"stencil point {y}")
-        r = 1.0 / np.abs(lams) ** 0.25
-        factor = lams / (3 * np.abs(lams) ** 1.5)
-        dual = _derivation_table().batch(K, W) * factor[:, None]
-        return W * r[:, None], dual * r[:, None]
+        return n_omega, n_dual
 
     return _d_stencil(pair, x, h, 3)
 
 
 def closedness_check(fld, s, points, h=DEFAULT_H, tol=DEFAULT_TOL):
     """d of both |λ|^(−1/4)-normalized fields (ω and ω̂) at sample points."""
-    _, lams = _sign_sweep(fld, s, points)
-    res_n = 0.0
-    res_d = 0.0
-    for x, lam in zip(points, lams):
-        dn, dd = _normalized_d(fld, s, x, lam, h)
-        res_n = max(res_n, float(np.abs(dn).max()))
-        res_d = max(res_d, float(np.abs(dd).max()))
+    lams, _, _ = _sign_sweep(fld, s, points)
+    dn, dd = zip(*(_normalized_d(fld, s, x, lam, h) for x, lam in zip(points, lams)))
+    res_n, res_d = float(np.abs(dn).max()), float(np.abs(dd).max())
     worst = max(res_n, res_d)
     return CheckReport(passed=worst <= tol, max_residual=worst,
                        n_points=len(points), tol=tol,
@@ -495,13 +496,15 @@ def gcy_integrability_check(fld, s, points, h=DEFAULT_H, tol=DEFAULT_TOL):
     d(nω̂): (dnω ± dnω̂)/2 in the hyperbolic branch, (dnω ± i·dnω̂)/2 in the
     elliptic one, where |dβ| = |dα|.  Which piece is α is decided by an
     orientation that keeps its sign along a stencil of one branch, so the
-    larger residual of the two needs no split at the stencil points.  The
-    same pass gives the closedness verdict."""
-    omegas, lams = _sign_sweep(fld, s, points)
+    larger residual of the two needs no split.  That orientation makes
+    Θ(α, β) = |Θ(nω̂, nω)|/2, times i in the elliptic branch, since
+    α∧β = ±(nω̂∧nω)/2 there; so (α∧β)/Ω³, Ω³ = −6θ, comes from the sample
+    point's own pair.  The same pass gives the closedness verdict."""
+    lams, n_omega, n_dual = _sign_sweep(fld, s, points)
     res = 0.0
     res_closed = 0.0
     ratios = []
-    for x, omega, lam in zip(points, omegas, lams):
+    for x, lam, nw, nd in zip(points, lams, n_omega, n_dual):
         dn, dd = _normalized_d(fld, s, x, lam, h)
         res_closed = max(res_closed, float(np.abs(dn).max()), float(np.abs(dd).max()))
         if lam > 0:
@@ -509,9 +512,8 @@ def gcy_integrability_check(fld, s, points, h=DEFAULT_H, tol=DEFAULT_TOL):
         else:
             d_pieces = np.abs(dn + 1j * dd).max()
         res = max(res, float(d_pieces) / 2)
-        norm = 1.0 / abs(float(lam)) ** 0.25
-        sp = _split(omega * norm, lam, False, dual_form(omega, s) * norm, s.theta)
-        ratios.append(complex(_as_complex(theta_pairing(sp.alpha, sp.beta, s))) / -6)
+        t = abs(theta_pairing(KForm(3, nd.tolist()), KForm(3, nw.tolist()), s)) / 2
+        ratios.append(complex(t if lam > 0 else 1j * t) / -6)
     ratio_dev = max(abs(r - ratios[0]) for r in ratios)
     integrable = res <= tol and ratio_dev <= tol
     closed = res_closed <= tol
@@ -522,14 +524,6 @@ def gcy_integrability_check(fld, s, points, h=DEFAULT_H, tol=DEFAULT_TOL):
                                 "closedness_residual": res_closed,
                                 "closedness_passed": closed,
                                 "agrees_with_closedness": closed == integrable})
-
-
-def _as_complex(v):
-    from .exterior import ExactComplex
-
-    if isinstance(v, ExactComplex):
-        return complex(float(v.re), float(v.im))
-    return complex(v)
 
 
 # --- curvature of a metric field ------------------------------------------
@@ -555,8 +549,7 @@ class MetricField:
         from .lr import q_matrices
 
         g = cls.__new__(cls)
-        g.batch = lambda points: q_matrices(
-            [[float(c) for c in fld.evaluate(x).coeffs] for x in points], s)
+        g.batch = lambda points: q_matrices(fld.batch(points), s)
         return g
 
     def __call__(self, x):
@@ -630,9 +623,8 @@ def riemann(g, x, h=DEFAULT_H):
 
 def flatness_check(g, points, h=DEFAULT_H, tol=CURVATURE_TOL):
     """Flat iff every curvature component is ≤ tol at every sample point."""
-    worst = 0.0
-    for x in points:
-        worst = max(worst, float(np.abs(riemann(g, x, h)).max()))
+    # np.max keeps a NaN residual, where Python's max would drop it
+    worst = float(np.max([np.abs(riemann(g, x, h)).max() for x in points], initial=0.0))
     return CheckReport(passed=worst <= tol, max_residual=worst,
                        n_points=len(points), tol=tol)
 

@@ -1,10 +1,10 @@
 """Linear invariants of 3-forms in dimension 6: the K-map, its pfaffian,
 the dual form, and the decomposable splitting.
 
-Sign convention: the vector v = a_iso(ψ, θ) is defined by ξ ∧ ψ = ξ(v) θ
-for every covector ξ.  With this choice the K-map of dq123 + dp123 is
-diag(1,1,1,−1,−1,−1), matching the standard real Calabi-Yau product
-structure on the (q, p) splitting.
+Sign convention: K(X)θ = A(i_X ω ∧ ω), where A takes a 5-form ψ to the
+vector v with ξ ∧ ψ = ξ(v) θ for every covector ξ.  With this choice the
+K-map of dq123 + dp123 is diag(1,1,1,−1,−1,−1), matching the standard real
+Calabi-Yau product structure on the (q, p) splitting.
 
 The dual form needs K*ω(X, Y, Z) = ω(KX, KY, KZ), a form of degree 7 in ω.
 It is computed from the derivation action of K, which is linear in K:
@@ -55,20 +55,6 @@ def _theta_of(space_or_theta):
     if theta.is_zero():
         raise ValueError("volume form is zero")
     return theta
-
-
-def a_iso(psi, theta):
-    """The vector v with ξ ∧ ψ = ξ(v)·θ for all covectors ξ (ψ of grade 5)."""
-    theta = _theta_of(theta)
-    if psi.grade != 5:
-        raise GradeError("a_iso takes a 5-form")
-    t = theta.coeffs[0]
-    v = []
-    for i in range(1, DIM + 1):
-        comp = tuple(j for j in range(1, DIM + 1) if j != i)
-        sign, _ = merge_sign((i,), comp)
-        v.append(sign * psi.coeffs[POS[5][comp]] / t)
-    return v
 
 
 @lru_cache(maxsize=None)
@@ -132,14 +118,10 @@ def _derivation_table():
     return QuadraticTable(entries)
 
 
-def mat_mul(A, B):
-    return [[sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
-            for i in range(len(A))]
-
-
 def k_squared(omega, space_or_theta):
     K = hitchin_k(omega, space_or_theta)
-    return mat_mul(K, K)
+    return [[sum(K[i][k] * K[k][j] for k in range(DIM)) for j in range(DIM)]
+            for i in range(DIM)]
 
 
 def _lambda_of_k(K):

@@ -279,6 +279,44 @@ def test_cli_wrong_grade_exit2(argv):
     assert "expected a 3-form, got grade 2" in proc.stderr
 
 
+def test_cli_check_structure_non_effective_exit3():
+    """dq123 + dp123 + dq1∧dq2∧dp2 is not effective: the q-metric of the
+    flatness check rejects it, and the command exits 3 as classify does."""
+    doc = json.dumps({"version": 1, "scalar": "exact", "grade": 3,
+                      "coefficients": {"123": "1", "456": "1", "125": "1"}})
+    proc = run_cli_process(["check-structure", "--input", "-", "--samples", "1"], doc)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo", "cs", "--gamma", "nan"],
+    ["demo", "cs", "--gamma", "inf"],
+    ["check-solution", "--solution", "hess-one", "--b", "nan"],
+    ["check-structure", "--h", "0"],
+    ["check-structure", "--h", "nan"],
+    ["check-structure", "--samples", "0"],
+    ["check-solution", "--solution", "cs-regular", "--samples", "0"],
+    ["demo", "s6", "--samples", "0"],
+    ["classify", "--scalar", "float", "--tol", "nan"],
+    ["classify", "--tol", "-1"],
+    ["check-solution", "--solution", "cs-regular", "--h", "1e-4"],
+    ["classify", "--seed", "1"],
+    ["split", "--seed", "1"],
+    ["split", "--tol", "1e-6"],
+])
+def test_cli_bad_option_exit2(argv):
+    """Out-of-range numeric options, and the options no command reads, are
+    rejected by the parser before any input is read: exit 2 and a usage
+    message."""
+    proc = run_cli_process(argv, form_doc(table1_form(1, Fraction(1))))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "usage:" in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("solution", ["cs-regular", "cs-generalized", "hess-one"])
 def test_cli_check_solution_missing_input_exit2(solution, tmp_path):
     proc = run_cli_process(["check-solution", "--solution", solution, "--input",

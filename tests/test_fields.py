@@ -186,6 +186,33 @@ def test_degenerate_stencil_point_raises(space, check):
         check(_branch_field(), space, [[1e-4] * 6])
 
 
+def _nan_field():
+    """Table row 2 in floats, with a NaN coefficient on e456 where q1 > 0.3."""
+    row2 = KForm(3, [float(c) for c in table1_form(2, 1).coeffs])
+
+    def fn(x):
+        return row2 + KForm.basis(4, 5, 6, scale=math.nan) if x[0] > 0.3 else row2
+
+    return FormField.from_pointwise(3, fn)
+
+
+@pytest.mark.parametrize("check", [closedness_check, gcy_integrability_check])
+def test_nan_stencil_point_raises(space, check):
+    """At q1 = 0.3 − 5e-5 the stencil point q1 + h, h = 1e-4, has a NaN
+    coefficient, so λ is NaN there: the guard names that point instead of
+    a NaN residual dropping out of the maximum."""
+    with pytest.raises(DegeneratePointError, match=r"not finite at \(0\.3000"):
+        check(_nan_field(), space, [[0.3 - 5e-5, 0.0, 0.0, 0.0, 0.0, 0.0]])
+
+
+def test_flatness_nan_metric_fails():
+    """A NaN metric at a stencil point gives a NaN residual, which fails."""
+    g = MetricField(lambda x: np.eye(6) * math.nan if x[0] > 0.3 else np.eye(6))
+    rep = flatness_check(g, [[0.29995, 0.0, 0.0, 0.0, 0.0, 0.0]])
+    assert not rep.passed
+    assert math.isnan(rep.max_residual)
+
+
 def _criterion_11_fields():
     """Acceptance criterion 11's five fields, each with its closedness
     verdict: two constant fields, a conformally scaled one and two
@@ -225,6 +252,9 @@ def test_closedness_and_integrability_agree(space):
         assert g.details["agrees_with_closedness"]
         assert g.details["closedness_passed"] == c.passed
         assert g.details["closedness_residual"] == c.max_residual
+        want = -1 / 6 if lambda_field(fld, space, pts[0]) > 0 else -1j / 6
+        assert isinstance(g.details["ratio"], complex)
+        assert abs(g.details["ratio"] - want) <= 1e-12
 
 
 def test_flatness_constant_exact():
@@ -336,30 +366,32 @@ def test_stencil_checks_match_pointwise_reference(space):
 
 
 def test_pointwise_field_evaluated_once_per_point(space, monkeypatch):
-    """One sample point: the field is evaluated there and at its 12 stencil
-    points, once each.  K is built with hitchin_k only at the sample point,
-    once for the sign sweep's pfaffian and, in the integrability check, once
-    more for the dual the split needs there; the 12 stencil points take θ·K
-    from one batch of the K table.  The integrability check differentiates
-    the normalized pair in the same stencil pass instead of running
-    closedness_check."""
+    """One sample point: each check evaluates the field there and at its 12
+    stencil points, once each, and takes K, λ and the dual form of all 13
+    from the batched tables, one batch for the sample point and one for its
+    stencil: no hitchin_k, pfaffian or dual_form call.  The integrability
+    check differentiates the normalized pair in the same stencil pass
+    instead of running closedness_check."""
+    import sys
+
     import ma6.fields
     import ma6.hitchin
 
-    counts = {"field": 0, "pfaffian": 0, "hitchin_k": 0}
+    counts = dict.fromkeys(("field", "hitchin_k", "pfaffian", "dual_form"), 0)
+    for name in ("hitchin_k", "pfaffian", "dual_form"):
+        fn = getattr(ma6.hitchin, name)
+
+        def counting(*args, _fn=fn, _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        # under every name a ma6 module imported it by
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "ma6" and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counting)
     k_batches = []
-    pfaffian = ma6.hitchin.pfaffian
-    hitchin_k = ma6.hitchin.hitchin_k
     batch = QuadraticTable.batch
     k_table = _k_table()
-
-    def counting_pfaffian(*args):
-        counts["pfaffian"] += 1
-        return pfaffian(*args)
-
-    def counting_hitchin_k(*args):
-        counts["hitchin_k"] += 1
-        return hitchin_k(*args)
 
     def counting_batch(self, U, V=None):
         if self is k_table:
@@ -371,29 +403,20 @@ def test_pointwise_field_evaluated_once_per_point(space, monkeypatch):
         return KForm.basis(1, 2, 3, scale=1.0 + x[3] ** 2) + \
             KForm.basis(4, 5, 6, scale=1.0)
 
-    monkeypatch.setattr(ma6.hitchin, "pfaffian", counting_pfaffian)
-    monkeypatch.setattr(ma6.fields, "pfaffian", counting_pfaffian)
-    monkeypatch.setattr(ma6.hitchin, "hitchin_k", counting_hitchin_k)
-    monkeypatch.setattr(QuadraticTable, "batch", counting_batch)
-    fld = FormField.from_pointwise(3, fn)
-    pts = sample_box([(-0.5, 0.5)] * 6, 1, seed=3)
-    closedness_check(fld, space, pts)
-    assert counts["field"] == 13
-    assert counts["pfaffian"] <= 1
-    assert counts["hitchin_k"] <= 1
-    assert k_batches == [12]
-    counts["field"] = counts["pfaffian"] = counts["hitchin_k"] = 0
-    k_batches.clear()
-
     def no_closedness_check(*args, **kwargs):
         raise AssertionError("closedness_check called")
 
-    monkeypatch.setattr(ma6.fields, "closedness_check", no_closedness_check)
-    gcy_integrability_check(fld, space, pts)
-    assert counts["field"] == 13
-    assert counts["pfaffian"] <= 1
-    assert counts["hitchin_k"] <= 2
-    assert k_batches == [12]
+    monkeypatch.setattr(QuadraticTable, "batch", counting_batch)
+    fld = FormField.from_pointwise(3, fn)
+    pts = sample_box([(-0.5, 0.5)] * 6, 1, seed=3)
+    for check in (closedness_check, gcy_integrability_check):
+        counts.update(field=0, hitchin_k=0, pfaffian=0, dual_form=0)
+        k_batches.clear()
+        check(fld, space, pts)
+        assert counts == {"field": 13, "hitchin_k": 0, "pfaffian": 0, "dual_form": 0}
+        assert k_batches == [1, 12]
+        # the integrability check, next, must not run closedness_check
+        monkeypatch.setattr(ma6.fields, "closedness_check", no_closedness_check)
 
 
 def test_riemann_evaluates_metric_once_per_stencil_point():

@@ -8,13 +8,21 @@ import numpy as np
 import pytest
 
 from ma6.classify import build_gcy, table1_form
-from ma6.exterior import COMBS, ExactComplex, KForm, interior_vector, rational_sqrt, wedge
+from ma6.exterior import (
+    COMBS,
+    POS,
+    ExactComplex,
+    KForm,
+    interior_vector,
+    merge_sign,
+    rational_sqrt,
+    wedge,
+)
 from ma6.hitchin import (
     DegenerateFormError,
     ExactnessError,
     _derivation_table,
     _k_table,
-    a_iso,
     dual_form,
     hitchin_k,
     is_decomposable,
@@ -38,13 +46,24 @@ def test_k_anchor_product_structure(space):
     assert pfaffian(omega, space) == 1
 
 
-def reference_hitchin_k(omega, theta):
+def a_iso(psi, space):
+    """The vector v with ξ ∧ ψ = ξ(v)·θ for all covectors ξ (ψ of grade 5)."""
+    t = space.theta.coeffs[0]
+    v = []
+    for i in range(1, 7):
+        comp = tuple(j for j in range(1, 7) if j != i)
+        sign, _ = merge_sign((i,), comp)
+        v.append(sign * psi.coeffs[POS[5][comp]] / t)
+    return v
+
+
+def reference_hitchin_k(omega, space):
     """K from its definition K(e_j)θ = A(i_{e_j}ω ∧ ω), column by column."""
     cols = []
     for j in range(6):
         ej = [0] * 6
         ej[j] = 1
-        cols.append(a_iso(wedge(interior_vector(ej, omega), omega), theta))
+        cols.append(a_iso(wedge(interior_vector(ej, omega), omega), space))
     return [[cols[j][i] for j in range(6)] for i in range(6)]
 
 
