@@ -74,7 +74,6 @@ from .fields import (
     lambda_field,
     ma_operator,
     pullback_field_poly,
-    pullback_map,
     riemann,
     sample_box,
 )

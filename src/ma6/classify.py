@@ -19,10 +19,10 @@ from .hitchin import (
     ExactnessError,
     _abs_pow,
     _dual,
+    _lambda_is_zero,
     _lambda_of_k,
     _split,
     hitchin_k,
-    theta_pairing,
 )
 from .lr import QuadForm6, Signature, _q_of_k, signature
 
@@ -118,10 +118,8 @@ def classify(omega, s, tol=0):
         raise EffectivenessError("classification requires an effective 3-form")
     K = hitchin_k(omega, s)
     lam = _lambda_of_k(K)
-    if float_mode:
-        lam_tol = 1e-9 * (1 + omega.max_abs()) ** 4
-        if abs(lam) <= lam_tol:
-            lam = 0.0
+    if _lambda_is_zero(lam, omega):
+        lam = 0.0 if isinstance(lam, float) else lam
     sig = signature(_q_of_k(K, s))
     branch = "hyperbolic" if lam > 0 else "elliptic" if lam < 0 else "degenerate"
     report = InvariantReport(lambda_=lam, signature=sig,
@@ -172,7 +170,7 @@ def build_gcy(omega, s):
     """
     K = hitchin_k(omega, s)
     lam = _lambda_of_k(K)
-    if lam == 0:
+    if _lambda_is_zero(lam, omega):
         raise DegenerateFormError("cannot build the structure for λ = 0")
     exact = not isinstance(lam, float)
     root = _abs_pow(lam, 1, 4, exact)
@@ -185,6 +183,6 @@ def build_gcy(omega, s):
     g = _q_of_k(K, s)
     sp = _split(normalized, *_dual(normalized, K), s.theta)
     omega3_over_theta = -6  # Ω³ = −6θ
-    ratio = theta_pairing(sp.alpha, sp.beta, s) / omega3_over_theta
+    ratio = sp._pairing / omega3_over_theta
     return GczStructure(g=g, omega=s.omega, K=tuple(map(tuple, K)),
                         alpha=sp.alpha, beta=sp.beta, branch=sp.branch, ratio=ratio)

@@ -34,6 +34,7 @@ from .fields import (
     FormField,
     MetricField,
     SectionMap,
+    _worst,
     check_generalized_solution,
     closedness_check,
     flatness_check,
@@ -192,8 +193,6 @@ def cmd_split(args):
         # one K gives λ, the dual and the split; build_gcy builds its own
         K = hitchin_k(form, s)
         lam = _lambda_of_k(K)
-        if lam == 0:
-            raise DegenerateFormError("λ = 0")
         structure = None
         try:
             dual_of = _dual(form, K)
@@ -233,6 +232,22 @@ def cmd_split(args):
 
 _SOLUTIONS = ("cs-regular", "cs-generalized", "hess-one")
 
+# the open region of (x, y, z) on which each built-in solution is defined
+_DOMAINS = {
+    "cs-regular": ("x² + 2y > 0", lambda x, y, z: x * x + 2 * y > 0),
+    "cs-generalized": ("xy + yz + zx > 0", lambda x, y, z: x * y + y * z + z * x > 0),
+}
+_DOMAINS["hess-one"] = _DOMAINS["cs-generalized"]
+
+
+def _check_domain(solution, points):
+    """Every sample point must lie in the domain of the built-in solution."""
+    text, inside = _DOMAINS[solution]
+    for x in points:
+        if not inside(*x):
+            raise CliError(EXIT_INVALID, f"--box leaves the domain {text} of "
+                                         f"{solution}: sample point {tuple(x)}")
+
 
 def _builtin_section(args):
     if args.solution == "cs-regular":
@@ -250,6 +265,7 @@ def cmd_check_solution(args):
     s = standard_space()
     rng_box = _parse_box(args.box, 3)
     points = sample_box(rng_box, args.samples, seed=args.seed)
+    _check_domain(args.solution, points)
     if args.solution == "cs-generalized":
         L = casestudies.cs_generalized_solution(gamma=args.gamma, b=args.b)
         if fld is None:
@@ -274,11 +290,11 @@ def cmd_check_solution(args):
     if args.solution == "hess-one":
         import numpy as np
 
-        worst = max(abs(float(np.linalg.det(np.array(section.hess(x)))) - 1)
-                    for x in points)
+        worst = _worst(abs(float(np.linalg.det(np.array(section.hess(x)))) - 1)
+                       for x in points)
         label = "max_abs_det_hessian_minus_1"
     else:
-        worst = max(abs(ma_operator(fld, section, x)) for x in points)
+        worst = _worst(abs(ma_operator(fld, section, x)) for x in points)
         label = "max_operator_residual"
     passed = worst <= args.tol
     report = {
@@ -346,22 +362,23 @@ def _demo_cs(args):
     sympl_ok = is_symplectomorphism(phi, s)
     box = _parse_box(args.box, 3)
     points = sample_box(box, args.samples, seed=args.seed)
+    _check_domain("hess-one", points)  # the domain of cs-generalized too
     checks = {
         "reduction_pullback_exact": bool(reduced_ok),
         "reduction_is_symplectomorphism": bool(sympl_ok),
     }
     fld = FormField.constant(casestudies.cs_form(float(args.gamma)))
     if args.gamma == 0:
+        _check_domain("cs-regular", points)
         f = casestudies.cs_regular_solution()
-        pts = [p for p in points if p[0] ** 2 + 2 * p[1] > 0.05]
-        worst = max(abs(ma_operator(fld, f, x)) for x in pts)
+        worst = _worst(abs(ma_operator(fld, f, x)) for x in points)
         checks["regular_solution_residual"] = worst
         checks["regular_solution_passed"] = worst <= args.tol
     fh = casestudies.hess_one_solution(b=args.b)
     import numpy as np
 
-    worst_h = max(abs(float(np.linalg.det(np.array(fh.hess(x)))) - 1)
-                  for x in points)
+    worst_h = _worst(abs(float(np.linalg.det(np.array(fh.hess(x)))) - 1)
+                     for x in points)
     checks["hessian_one_residual"] = worst_h
     checks["hessian_one_passed"] = worst_h <= args.tol
     L = casestudies.cs_generalized_solution(gamma=args.gamma, b=args.b)
@@ -419,14 +436,14 @@ def _number(kind, ok, what):
 
 _finite = _number(float, math.isfinite, "finite")
 _step = _number(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
-_tolerance = _number(float, lambda v: math.isfinite(v) and v >= 0, "finite and ≥ 0")
+_nonnegative = _number(float, lambda v: math.isfinite(v) and v >= 0, "finite and ≥ 0")
 _samples = _number(int, lambda v: v >= 1, "≥ 1")
 
 
 def _add_common(p, tol=True, seed=True):
     p.add_argument("--format", choices=("json", "text"), default="json")
     if tol:
-        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
+        p.add_argument("--tol", type=_nonnegative, default=DEFAULT_TOL)
     if seed:
         p.add_argument("--seed", type=int, default=0)
 
@@ -460,8 +477,8 @@ def build_parser():
     p.add_argument("--input", default=None,
                    help="optional form/field document overriding the builtin form")
     p.add_argument("--gamma", type=_finite, default=0.0)
-    p.add_argument("--b", type=_finite, default=1.0)
-    p.add_argument("--perturb", type=float, default=0.0,
+    p.add_argument("--b", type=_nonnegative, default=1.0)
+    p.add_argument("--perturb", type=_finite, default=0.0,
                    help="add eps*x^3 to the candidate solution")
     p.add_argument("--box", default="0.5,2")
     p.add_argument("--samples", type=_samples, default=100)
@@ -482,7 +499,7 @@ def build_parser():
                        allow_abbrev=False)
     p.add_argument("name", choices=("cs", "s6"))
     p.add_argument("--gamma", type=_finite, default=0.0)
-    p.add_argument("--b", type=_finite, default=1.0)
+    p.add_argument("--b", type=_nonnegative, default=1.0)
     p.add_argument("--box", default="0.5,2")
     p.add_argument("--samples", type=_samples, default=100)
     _add_common(p)

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exterior import COMBS, DIM, KForm, POS, _det, dim_grade, merge_sign
-from .hitchin import _derivation_table, _k_table, pfaffian, theta_pairing
+from .hitchin import _derivation_table, _k_table, _pieces_pairing, pfaffian, theta_pairing
 from .poly import Poly
 
 DEFAULT_H = 1e-4
@@ -148,11 +148,10 @@ def d_numeric(fld, x, h=DEFAULT_H):
 class DiffeoMap:
     """A map ℝ⁶ → ℝ⁶ given by 6 component functions (Poly or callable)."""
 
-    def __init__(self, components, h=DEFAULT_H):
+    def __init__(self, components):
         if len(components) != DIM:
             raise ValueError("need 6 components")
         self.components = tuple(components)
-        self.h = h
 
     def is_polynomial(self):
         return all(isinstance(c, Poly) or not callable(c) for c in self.components)
@@ -161,21 +160,8 @@ class DiffeoMap:
         return [_entry_eval(c, x) for c in self.components]
 
     def jacobian(self, x):
-        """6x6 Jacobian; exact for polynomial components, FD otherwise."""
-        J = [[0] * DIM for _ in range(DIM)]
-        for i, c in enumerate(self.components):
-            if isinstance(c, Poly):
-                for a in range(DIM):
-                    J[i][a] = c.diff(a).eval(x)
-            elif callable(c):
-                for a in range(DIM):
-                    xp = list(x)
-                    xm = list(x)
-                    xp[a] += self.h
-                    xm[a] -= self.h
-                    J[i][a] = (c(xp) - c(xm)) / (2 * self.h)
-            # constants contribute zero rows
-        return J
+        """6x6 Jacobian at x, exact from the polynomial components."""
+        return [[p.eval(x) for p in row] for row in self.jacobian_poly()]
 
     def jacobian_poly(self):
         if not self.is_polynomial():
@@ -205,43 +191,19 @@ def pullback_field_poly(phi, fld):
     return FormField(k, out)
 
 
-def pullback_map(phi, fld, x):
-    """(φ*ω)ₓ for any map with a Jacobian: evaluate ω at φ(x), pull back."""
-    J = phi.jacobian(x)
-    if _singular(J):
-        raise ValueError(f"Jacobian singular at {x}")
-    return fld.evaluate(phi(x)).pullback(J)
-
-
-def _singular(J):
-    try:
-        return abs(np.linalg.det(np.array(J, dtype=float))) < 1e-12
-    except (TypeError, ValueError):
-        return False  # exact entries: let downstream arithmetic decide
-
-
-def is_symplectomorphism(phi, s, points=None, tol=1e-9):
-    """Check φ*Ω = Ω; exact (symbolic) for polynomial φ, sampled otherwise."""
+def is_symplectomorphism(phi, s):
+    """Check φ*Ω = Ω exactly (symbolically); φ must be polynomial."""
     omega_field = FormField.constant(s.omega)
-    if phi.is_polynomial():
-        pb = pullback_field_poly(phi, omega_field)
-        return all(_to_poly(a) == _to_poly(b)
-                   for a, b in zip(pb.coeffs, omega_field.coeffs))
-    if points is None:
-        raise ValueError("sampled check needs points")
-    for x in points:
-        diff = pullback_map(phi, omega_field, x) - s.omega
-        if diff.max_abs() > tol:
-            return False
-    return True
+    pb = pullback_field_poly(phi, omega_field)
+    return all(_to_poly(a) == _to_poly(b)
+               for a, b in zip(pb.coeffs, omega_field.coeffs))
 
 
 class SectionMap:
     """A function f: ℝ³ → ℝ with gradient and Hessian access.
 
     Closed-form ``grad``/``hess`` are used when supplied; otherwise central
-    finite differences with step ``h`` (the Hessian differentiates the
-    gradient when one is available).
+    finite differences of f with step ``h``.
     """
 
     def __init__(self, f, grad=None, hess=None, h=DEFAULT_H):
@@ -284,18 +246,6 @@ class SectionMap:
     def hess(self, x):
         if self._hess is not None:
             return [list(r) for r in self._hess(x)]
-        if self._grad is not None:
-            H = [[0.0] * 3 for _ in range(3)]
-            for a in range(3):
-                xp = list(x)
-                xm = list(x)
-                xp[a] += self.h
-                xm[a] -= self.h
-                gp, gm = self._grad(xp), self._grad(xm)
-                for b in range(3):
-                    H[b][a] = (gp[b] - gm[b]) / (2 * self.h)
-            # symmetrize FD noise
-            return [[(H[i][j] + H[j][i]) / 2 for j in range(3)] for i in range(3)]
         h = max(self.h, 3e-4)  # nested differences lose accuracy; widen the step
         H = [[0.0] * 3 for _ in range(3)]
         f = self.f
@@ -338,11 +288,10 @@ def ma_operator(fld, section, x):
 class Submanifold3:
     """A parametrized 3-submanifold u: U ⊆ ℝ³ → ℝ⁶."""
 
-    def __init__(self, components, jacobian=None, h=DEFAULT_H):
+    def __init__(self, components, h=DEFAULT_H):
         if len(components) != DIM:
             raise ValueError("need 6 components")
         self.components = tuple(components)
-        self._jacobian = jacobian
         self.h = h
 
     def __call__(self, u):
@@ -351,9 +300,7 @@ class Submanifold3:
                 for c in self.components]
 
     def jacobian(self, u):
-        """6x3 Jacobian (columns = tangent vectors)."""
-        if self._jacobian is not None:
-            return self._jacobian(u)
+        """6x3 Jacobian (columns = tangent vectors), by central differences."""
         J = [[0.0] * 3 for _ in range(DIM)]
         for a in range(3):
             up = list(u)
@@ -364,6 +311,12 @@ class Submanifold3:
             for i in range(DIM):
                 J[i][a] = (fp[i] - fm[i]) / (2 * self.h)
         return J
+
+
+def _worst(residuals):
+    """The largest residual, 0.0 for none, and NaN if any is NaN, where
+    Python's max would drop it."""
+    return float(np.max(np.asarray(list(residuals), dtype=float), initial=0.0))
 
 
 @dataclass
@@ -382,23 +335,18 @@ def check_generalized_solution(L, fld, s, params, tol=DEFAULT_TOL):
     ``params`` are parameter-space sample points; rank-deficient points are
     excluded and reported.
     """
-    max_lag = 0.0
-    max_om = 0.0
+    lags, oms = [], []
     excluded = []
-    n = 0
     for u in params:
         J = L.jacobian(u)
         if np.linalg.matrix_rank(np.array(J, dtype=float), tol=1e-8) < 3:
             excluded.append(tuple(u))
             continue
-        n += 1
-        x = L(u)
         t = [[J[i][a] for i in range(DIM)] for a in range(3)]
-        for a in range(3):
-            for b in range(a + 1, 3):
-                max_lag = max(max_lag, abs(s.omega.evaluate(t[a], t[b])))
-        om = fld.evaluate(x)
-        max_om = max(max_om, abs(om.evaluate(*t)))
+        lags += [abs(s.omega.evaluate(t[a], t[b])) for a in range(3) for b in range(a + 1, 3)]
+        oms.append(abs(fld.evaluate(L(u)).evaluate(*t)))
+    n = len(oms)
+    max_lag, max_om = _worst(lags), _worst(oms)
     return SolutionReport(passed=(n > 0 and max_lag <= tol and max_om <= tol),
                           max_lagrangian=max_lag, max_omega=max_om,
                           n_points=n, excluded=excluded, tol=tol)
@@ -496,10 +444,10 @@ def gcy_integrability_check(fld, s, points, h=DEFAULT_H, tol=DEFAULT_TOL):
     d(nω̂): (dnω ± dnω̂)/2 in the hyperbolic branch, (dnω ± i·dnω̂)/2 in the
     elliptic one, where |dβ| = |dα|.  Which piece is α is decided by an
     orientation that keeps its sign along a stencil of one branch, so the
-    larger residual of the two needs no split.  That orientation makes
-    Θ(α, β) = |Θ(nω̂, nω)|/2, times i in the elliptic branch, since
-    α∧β = ±(nω̂∧nω)/2 there; so (α∧β)/Ω³, Ω³ = −6θ, comes from the sample
-    point's own pair.  The same pass gives the closedness verdict."""
+    larger residual of the two needs no split.  Θ(α, β), and so
+    (α∧β)/Ω³ with Ω³ = −6θ, comes from Θ(nω̂, nω) of the sample point's own
+    pair, as in `hitchin._split`.  The same pass gives the closedness
+    verdict."""
     lams, n_omega, n_dual = _sign_sweep(fld, s, points)
     res = 0.0
     res_closed = 0.0
@@ -512,8 +460,8 @@ def gcy_integrability_check(fld, s, points, h=DEFAULT_H, tol=DEFAULT_TOL):
         else:
             d_pieces = np.abs(dn + 1j * dd).max()
         res = max(res, float(d_pieces) / 2)
-        t = abs(theta_pairing(KForm(3, nd.tolist()), KForm(3, nw.tolist()), s)) / 2
-        ratios.append(complex(t if lam > 0 else 1j * t) / -6)
+        t = theta_pairing(KForm(3, nd.tolist()), KForm(3, nw.tolist()), s)
+        ratios.append(complex(_pieces_pairing(t, lam, False)) / -6)
     ratio_dev = max(abs(r - ratios[0]) for r in ratios)
     integrable = res <= tol and ratio_dev <= tol
     closed = res_closed <= tol
@@ -623,8 +571,7 @@ def riemann(g, x, h=DEFAULT_H):
 
 def flatness_check(g, points, h=DEFAULT_H, tol=CURVATURE_TOL):
     """Flat iff every curvature component is ≤ tol at every sample point."""
-    # np.max keeps a NaN residual, where Python's max would drop it
-    worst = float(np.max([np.abs(riemann(g, x, h)).max() for x in points], initial=0.0))
+    worst = _worst(np.abs(riemann(g, x, h)).max() for x in points)
     return CheckReport(passed=worst <= tol, max_residual=worst,
                        n_points=len(points), tol=tol)
 

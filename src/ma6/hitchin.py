@@ -33,7 +33,6 @@ from .exterior import (
     GradeError,
     KForm,
     QuadraticTable,
-    _im,
     merge_sign,
     rational_sqrt,
     wedge,
@@ -153,10 +152,18 @@ def _abs_pow(lam, num, den, exact):
     return float(a) ** (num / den)
 
 
+def _lambda_is_zero(lam, omega):
+    """The one λ = 0 rule: an exact λ is zero when it equals 0, a float λ
+    when |λ| ≤ 1e-9·(1 + |ω|)⁴, λ being quartic in ω."""
+    if isinstance(lam, float):
+        return abs(lam) <= 1e-9 * (1 + omega.max_abs()) ** 4
+    return lam == 0
+
+
 def _dual(omega, K):
     """(λ, exact, ω̂) from ω and its K: ω̂ = |λ|^(−3/2)·K*ω = λ/(3|λ|^(3/2))·K·ω."""
     lam = _lambda_of_k(K)
-    if lam == 0:
+    if _lambda_is_zero(lam, omega):
         raise DegenerateFormError("degenerate 3-form (λ = 0) has no dual")
     exact = not isinstance(lam, float)
     factor = lam / (3 * _abs_pow(lam, 3, 2, exact))
@@ -191,25 +198,36 @@ def split_pair(omega, space_or_theta):
     return _split(omega, *_dual(omega, hitchin_k(omega, theta)), theta)
 
 
+def _pieces_pairing(t, lam, exact):
+    """Θ(α, β) of the split of ω whose Θ(ω̂, ω) is t: |t|/2, times i on the
+    elliptic branch."""
+    t = abs(t) / 2
+    if lam > 0:
+        return t
+    return (ExactComplex(0, 1) if exact else 1j) * t
+
+
 def _split(omega, lam, exact, dual, theta):
-    """The SplitPair of ω from its dual ω̂ and the sign of its λ."""
+    """The SplitPair of ω from its dual ω̂ and the sign of its λ.
+
+    ω∧ω = ω̂∧ω̂ = 0 and ω∧ω̂ = −ω̂∧ω for 3-forms, so with α = (ω + ω̂)/2,
+    β = (ω − ω̂)/2 (hyperbolic) or α = (ω + iω̂)/2, β = ᾱ (elliptic),
+    α∧β = (ω̂∧ω)/2 resp. (i/2)·ω̂∧ω.  One pairing t = Θ(ω̂, ω) therefore
+    orients the pieces (ω̂ is negated when t < 0) and gives Θ(α, β), kept
+    as ``_pairing`` for build_gcy; no piece is wedged.
+    """
+    t = theta_pairing(dual, omega, theta)
+    if t < 0:
+        dual = -dual
     half = Fraction(1, 2) if exact else 0.5
     if lam > 0:
-        alpha = (omega + dual) * half
-        beta = (omega - dual) * half
-        orient = wedge(alpha, beta).coeffs[0] / theta.coeffs[0]
-        if orient < 0:
-            alpha, beta = beta, alpha
-        return SplitPair("hyperbolic", alpha, beta)
-    i_unit = ExactComplex(0, 1) if exact else 1j
-    alpha = (omega + dual * i_unit) * half
-    abar = alpha.conjugate()
-    # (α∧ᾱ)/(iθ): α∧ᾱ is purely imaginary, so this is its imaginary part / θ
-    ratio = wedge(alpha, abar).coeffs[0] / theta.coeffs[0]
-    im = _im(ratio)
-    if im < 0:
-        alpha, abar = abar, alpha
-    return SplitPair("elliptic", alpha, abar)
+        sp = SplitPair("hyperbolic", (omega + dual) * half, (omega - dual) * half)
+    else:
+        i_unit = ExactComplex(0, 1) if exact else 1j
+        alpha = (omega + dual * i_unit) * half
+        sp = SplitPair("elliptic", alpha, alpha.conjugate())
+    sp._pairing = _pieces_pairing(t, lam, exact)
+    return sp
 
 
 def is_decomposable(phi, space_or_theta, tol=None):

@@ -35,6 +35,27 @@ def rand_effective(rng, s):
     return project_effective(s, rand_form(rng, 3))
 
 
+def sheared_float_form(omega, rng):
+    """ω in floats pulled back by an upper and then a lower symplectic shear
+    [[I, S], [0, I]], [[I, 0], [S, I]], each S symmetric with entries drawn
+    uniform in (−1, 1)."""
+    omega = KForm(3, [float(c) for c in omega.coeffs])
+    for upper in (True, False):
+        S = [[0.0] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(i, 3):
+                S[i][j] = S[j][i] = rng.uniform(-1, 1)
+        M = [[float(i == j) for j in range(6)] for i in range(6)]
+        for i in range(3):
+            for j in range(3):
+                if upper:
+                    M[i][3 + j] = S[i][j]
+                else:
+                    M[3 + i][j] = S[i][j]
+        omega = omega.pullback(M)
+    return omega
+
+
 def rand_vector(rng):
     return [rand_fraction(rng) for _ in range(6)]
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ma6.exterior
 import ma6.hitchin
 import ma6.symplectic
 
@@ -19,8 +20,18 @@ from ma6.classify import (
     classify,
     table1_form,
 )
-from ma6.exterior import KForm
-from ma6.hitchin import ExactnessError, k_squared, pfaffian
+from ma6.exterior import ExactComplex, KForm, _im, wedge
+from ma6.hitchin import (
+    DegenerateFormError,
+    ExactnessError,
+    SplitPair,
+    _dual,
+    _split,
+    hitchin_k,
+    k_squared,
+    pfaffian,
+    split_pair,
+)
 from ma6.lr import in_sp3, q_form
 from ma6.symplectic import EffectivenessError, project_effective
 
@@ -114,12 +125,15 @@ def test_build_gcy_hyperbolic_anchor(space):
     assert st.ratio == Fraction(-1, 6)
 
 
+_split_rows = st.sampled_from([1, 2, 3])
+_row_params = st.builds(Fraction, st.integers(1, 3), st.integers(1, 3))
+_small_shears = st.lists(st.tuples(st.lists(st.integers(-1, 1), min_size=6, max_size=6),
+                                   st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))),
+                         min_size=1, max_size=3)
+
+
 @settings(max_examples=30, deadline=None)
-@given(row=st.sampled_from([1, 2, 3]), p=st.builds(Fraction, st.integers(1, 3),
-                                                  st.integers(1, 3)),
-       shears=st.lists(st.tuples(st.lists(st.integers(-1, 1), min_size=6, max_size=6),
-                                 st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))),
-                       min_size=1, max_size=3))
+@given(row=_split_rows, p=_row_params, shears=_small_shears)
 def test_build_gcy_ratio_is_constant(space, row, p, shears):
     """(α∧β)/Ω³ is −1/6 on the hyperbolic branch and −i/6 on the elliptic
     one for every normalized pair, by Hitchin's ω̂∧ω ∝ √|λ|·θ: checked on
@@ -133,6 +147,61 @@ def test_build_gcy_ratio_is_constant(space, row, p, shears):
     want = -1 / 6 if row == 1 else -1j / 6
     n = (structure.alpha + structure.beta).max_abs()
     assert abs(structure.ratio - want) <= 1e-14 * (1 + n) ** 3
+
+
+def reference_split(omega, lam, exact, dual, theta):
+    """The split oriented by wedging its pieces: α = (ω + ω̂)/2 and
+    β = (ω − ω̂)/2 swap when (α∧β)/θ < 0; α = (ω + iω̂)/2 and ᾱ swap when
+    Im (α∧ᾱ)/θ < 0."""
+    half = Fraction(1, 2) if exact else 0.5
+    if lam > 0:
+        alpha, beta = (omega + dual) * half, (omega - dual) * half
+        if wedge(alpha, beta).coeffs[0] / theta.coeffs[0] < 0:
+            alpha, beta = beta, alpha
+        return SplitPair("hyperbolic", alpha, beta)
+    alpha = (omega + dual * (ExactComplex(0, 1) if exact else 1j)) * half
+    abar = alpha.conjugate()
+    if _im(wedge(alpha, abar).coeffs[0] / theta.coeffs[0]) < 0:
+        alpha, abar = abar, alpha
+    return SplitPair("elliptic", alpha, abar)
+
+
+@settings(max_examples=30, deadline=None)
+@given(row=_split_rows, p=_row_params, shears=_small_shears,
+       coeffs=st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+                       min_size=20, max_size=20))
+def test_split_and_ratio_match_wedge_reference(space, other_space, row, p, shears, coeffs):
+    """One pairing Θ(ω̂, ω) orients the split and gives the ratio.  On both
+    spaces, for table rows 1-3 moved by an exact product of Sp(6) shears,
+    exact and in floats, and for a random effective form in floats: _split
+    gives the pieces of the wedge-oriented reference (==), and build_gcy's
+    ratio is (α∧β)/θ/−6 with the same type, exactly, or within
+    1e-14·(1 + |α + β|)³ in floats.  build_gcy needs an effective form and,
+    when exact, a rational |λ|^(1/4): the moved rows are effective on the
+    standard space only, and |λ| = p⁴/4 on the other one."""
+    for s in (space, other_space):
+        moved = table1_form(row, p).pullback(symplectic_shears(s.matrix, shears))
+        rand = project_effective(s, KForm(3, coeffs))
+        for omega, builds in ((moved, s is space),
+                              (KForm(3, [float(c) for c in moved.coeffs]), s is space),
+                              (KForm(3, [float(c) for c in rand.coeffs]), True)):
+            try:
+                dual_of = _dual(omega, hitchin_k(omega, s))
+            except DegenerateFormError:
+                assert omega is not moved
+                continue
+            sp, ref = _split(omega, *dual_of, s.theta), reference_split(omega, *dual_of, s.theta)
+            assert (sp.branch, sp.alpha, sp.beta) == (ref.branch, ref.alpha, ref.beta)
+            if not builds:
+                continue
+            gcy = build_gcy(omega, s)
+            want = wedge(gcy.alpha, gcy.beta).coeffs[0] / s.theta.coeffs[0] / -6
+            assert type(gcy.ratio) is type(want)
+            if omega is moved:
+                assert gcy.ratio == want
+            else:
+                n = (gcy.alpha + gcy.beta).max_abs()
+                assert abs(gcy.ratio - want) <= 1e-14 * (1 + n) ** 3
 
 
 def test_build_gcy_elliptic(space):
@@ -193,6 +262,28 @@ def calls(monkeypatch):
                     and getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, counting)
     return counts
+
+
+def test_split_and_build_gcy_wedge_once(space, monkeypatch):
+    """An exact elliptic split_pair and build_gcy each make one wedge, of
+    real forms (Θ(ω̂, ω)), and none of the complex pieces α, ᾱ."""
+    wedged = []
+    original = ma6.exterior.wedge
+
+    def counting(a, b):
+        wedged.append(a.coeffs + b.coeffs)
+        return original(a, b)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if (mod_name == "ma6" or mod_name.startswith("ma6.")) \
+                and getattr(mod, "wedge", None) is original:
+            monkeypatch.setattr(mod, "wedge", counting)
+    omega = table1_form(2, Fraction(3, 2))
+    split_pair(omega, space)
+    assert len(wedged) == 1
+    build_gcy(omega, space)
+    assert len(wedged) == 2
+    assert not any(isinstance(c, ExactComplex) for coeffs in wedged for c in coeffs)
 
 
 @pytest.mark.parametrize("p", [Fraction(1), 1.5])

@@ -25,7 +25,7 @@ from ma6.exterior import KForm
 from ma6.fields import FormField
 from ma6.poly import Poly
 
-from conftest import rand_form
+from conftest import rand_form, sheared_float_form
 
 
 def test_round_trip_exact(rng):
@@ -305,6 +305,8 @@ def test_cli_check_structure_non_effective_exit3():
     ["classify", "--seed", "1"],
     ["split", "--seed", "1"],
     ["split", "--tol", "1e-6"],
+    ["check-solution", "--solution", "cs-regular", "--perturb", "nan"],
+    ["check-solution", "--solution", "cs-generalized", "--b", "-100"],
 ])
 def test_cli_bad_option_exit2(argv):
     """Out-of-range numeric options, and the options no command reads, are
@@ -314,6 +316,39 @@ def test_cli_bad_option_exit2(argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "usage:" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv, domain", [
+    (["demo", "cs", "--box=-1,-0.5"], "x² + 2y > 0"),
+    (["demo", "cs", "--box=-1,1"], "xy + yz + zx > 0"),
+    (["check-solution", "--solution", "cs-regular", "--box=-1,-0.5"], "x² + 2y > 0"),
+    (["check-solution", "--solution", "hess-one", "--box=-1,1"], "xy + yz + zx > 0"),
+    (["check-solution", "--solution", "cs-generalized", "--box=-1,1"], "xy + yz + zx > 0"),
+], ids=["demo-cs-negative", "demo-cs", "cs-regular", "hess-one", "cs-generalized"])
+def test_cli_box_outside_domain_exit2(argv, domain):
+    """A --box whose sample points leave a built-in solution's domain is
+    invalid input: exit 2 with a message naming the domain."""
+    proc = run_cli_process([*argv, "--samples", "20"], None)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"--box leaves the domain {domain}" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_cli_split_float_degenerate_exit4():
+    """Row 4 moved by float symplectic shears: float λ is of rounding size,
+    and classify --scalar float already reads it as 0; split --scalar float
+    reads it by the same rule and exits 4, where it used to print pieces of
+    size 1e8."""
+    import random
+
+    doc = form_doc(sheared_float_form(table1_form(4), random.Random(3)))
+    code, out = run_cli(["classify", "--scalar", "float"], stdin_text=doc)
+    assert code == 0 and json.loads(out)["lambda"] == 0.0
+    proc = run_cli_process(["split", "--scalar", "float"], doc)
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
 
 

@@ -213,6 +213,21 @@ def test_flatness_nan_metric_fails():
     assert math.isnan(rep.max_residual)
 
 
+def test_generalized_solution_nan_residual_fails(space):
+    """A form field that is NaN at some sample points gives a NaN residual,
+    which fails the check."""
+    from ma6.casestudies import cs_form, cs_generalized_solution
+
+    def omega(x):
+        return cs_form(1.0) + KForm.basis(1, 2, 3, scale=math.nan if x[0] > 1.2 else 0.0)
+
+    rep = check_generalized_solution(cs_generalized_solution(gamma=1, b=1),
+                                     FormField.from_pointwise(3, omega), space,
+                                     sample_box([(0.5, 2)] * 3, 10, seed=0))
+    assert not rep.passed
+    assert math.isnan(rep.max_omega)
+
+
 def _criterion_11_fields():
     """Acceptance criterion 11's five fields, each with its closedness
     verdict: two constant fields, a conformally scaled one and two

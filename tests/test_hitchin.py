@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ma6.classify import build_gcy, table1_form
+from ma6.classify import build_gcy, classify, table1_form
 from ma6.exterior import (
     COMBS,
     POS,
@@ -33,7 +33,7 @@ from ma6.hitchin import (
 )
 from ma6.symplectic import standard_space
 
-from conftest import rand_form
+from conftest import rand_form, sheared_float_form
 
 
 def test_k_anchor_product_structure(space):
@@ -175,6 +175,20 @@ def test_exactness_error_for_irrational_root(space):
 def test_degenerate_split_raises(space):
     with pytest.raises(DegenerateFormError):
         split_pair(KForm.basis(2, 3, 4), space)
+
+
+def test_float_degenerate_form_has_no_split(space):
+    """Rows 4-8 moved by float symplectic shears have a float λ of rounding
+    size, which classify reads as 0 by the one λ = 0 rule: split_pair,
+    dual_form and build_gcy read it the same way and raise, where they used
+    to split into pieces of size up to 1e8."""
+    rng = random.Random(3)
+    for n in range(50):
+        omega = sheared_float_form(table1_form(4 + n % 5), rng)
+        assert classify(omega, space)[1].lambda_ == 0.0
+        for fn in (split_pair, dual_form, build_gcy):
+            with pytest.raises(DegenerateFormError):
+                fn(omega, space)
 
 
 def test_theta_pairing_symmetric_on_3forms(space, rng):
