@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exterior import KForm
+from .exterior import DIM, KForm, _all_rational, _bot_table, _cleared
 from .symplectic import EffectivenessError, is_effective
 from .hitchin import (
     DegenerateFormError,
@@ -21,10 +21,11 @@ from .hitchin import (
     _dual,
     _lambda_is_zero,
     _lambda_of_k,
+    _k_table,
     _split,
     hitchin_k,
 )
-from .lr import QuadForm6, Signature, _q_of_k, signature
+from .lr import QuadForm6, Signature, _kt_a, _q_of_k, signature
 
 
 class OrbitClass(enum.Enum):
@@ -110,17 +111,50 @@ TABLE1_CLASSES = {
 }
 
 
+def _exact_invariants(omega, s, tol):
+    """(λ, inertia of q_ω) for rational ω on a rational space, in ints over
+    the cleared coefficients, behind the ⊥ guard (⊥ω = 0, or |⊥ω| ≤ tol
+    when tol is given).
+
+    The K table gives θ·K = N/den in ints.  With θ = a/b and c = den·a,
+    K = b·N/c, so λ = tr(K²)/6 = b²·tr(N²)/(6c²).  With A = A'/e the matrix
+    of Ω over its common denominator, Q = (KᵀA + AᵀK)/4 = b/(4ce)·S for the
+    int matrix S = NᵀA' + A'ᵀN, whose inertia is Q's, with pos and neg
+    swapped when c < 0.
+    """
+    bot, den = _bot_table().rational(s.x_omega.coeffs, omega.coeffs)
+    if Fraction(max(map(abs, bot)), den) > tol if tol else any(bot):
+        raise EffectivenessError("classification requires an effective 3-form")
+    N, den = _k_table().rational(omega.coeffs)
+    N = [N[DIM * i:DIM * (i + 1)] for i in range(DIM)]
+    theta = s.theta.coeffs[0]
+    c = den * theta.numerator
+    lam = Fraction(theta.denominator ** 2
+                   * sum(N[i][k] * N[k][i] for i in range(DIM) for k in range(DIM)),
+                   6 * c * c)
+    _, A = _cleared([a for row in s.matrix for a in row])
+    M = _kt_a(N, [A[DIM * i:DIM * (i + 1)] for i in range(DIM)])
+    sig = signature(QuadForm6([[M[i][j] + M[j][i] for j in range(DIM)]
+                               for i in range(DIM)]))
+    if c < 0:
+        sig = Signature(sig.neg, sig.pos, sig.zero)
+    return lam, sig
+
+
 def classify(omega, s, tol=0):
     """Map an effective 3-form to its orbit class and invariant report."""
     float_mode = any(isinstance(c, float) for c in omega.coeffs)
     eff_tol = tol if tol else (1e-9 * (1 + omega.max_abs()) if float_mode else 0)
-    if not is_effective(s, omega, tol=eff_tol):
-        raise EffectivenessError("classification requires an effective 3-form")
-    K = hitchin_k(omega, s)
-    lam = _lambda_of_k(K)
-    if _lambda_is_zero(lam, omega):
-        lam = 0.0 if isinstance(lam, float) else lam
-    sig = signature(_q_of_k(K, s))
+    if _all_rational(omega.coeffs) and _all_rational(s.omega.coeffs):
+        lam, sig = _exact_invariants(omega, s, eff_tol)
+    else:
+        if not is_effective(s, omega, tol=eff_tol):
+            raise EffectivenessError("classification requires an effective 3-form")
+        K = hitchin_k(omega, s)
+        lam = _lambda_of_k(K)
+        if _lambda_is_zero(lam, omega):
+            lam = 0.0 if isinstance(lam, float) else lam
+        sig = signature(_q_of_k(K, s))
     branch = "hyperbolic" if lam > 0 else "elliptic" if lam < 0 else "degenerate"
     report = InvariantReport(lambda_=lam, signature=sig,
                              effective=True, nondegenerate=lam != 0, branch=branch)

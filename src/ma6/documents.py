@@ -18,7 +18,7 @@ import json
 import math
 from fractions import Fraction
 
-from .exterior import COMBS, DIM, KForm, POS, dim_grade
+from .exterior import COMBS, DIM, ExactComplex, KForm, POS, dim_grade
 from .fields import FormField
 from .poly import Poly
 
@@ -173,6 +173,8 @@ def _jsonable(v):
         return v
     if isinstance(v, complex):
         return {"re": v.real, "im": v.imag}
+    if isinstance(v, ExactComplex):
+        return {"re": str(v.re), "im": str(v.im)}
     if isinstance(v, KForm):
         return serialize_form(v)
     if isinstance(v, dict):

@@ -263,17 +263,22 @@ class QuadraticTable:
         same = v is None
         v = u if same else v
         if self.ints is not None and _all_rational(u) and (same or _all_rational(v)):
-            # clear the denominators of u and v, sum in ints, divide once
-            du, nu = _cleared(u)
-            dv, nv = (du, nu) if same else _cleared(v)
-            den = self.den * du * dv
-            return tuple(Fraction(sum([c * nu[i] * nv[j] for i, j, c in e]), den)
-                         for e in self.ints)
+            nums, den = self.rational(u, None if same else v)
+            return tuple(Fraction(n, den) for n in nums)
         if _all_real(u) and (same or _all_real(v)):
             u = [float(x) for x in u]
             v = u if same else [float(x) for x in v]
             return tuple(sum([c * u[i] * v[j] for i, j, c in e], 0.0) for e in self.floats)
         return tuple(sum(c * u[i] * v[j] for i, j, c in e) for e in self.exact)
+
+    def rational(self, u, v=None):
+        """The polynomials at rational u (and v) as (numerators, den): one
+        int per entry, entry = numerator/den.  The denominators of u and v
+        are cleared once and every term is summed in ints."""
+        du, nu = _cleared(u)
+        dv, nv = (du, nu) if v is None else _cleared(v)
+        return (tuple(sum([c * nu[i] * nv[j] for i, j, c in e]) for e in self.ints),
+                self.den * du * dv)
 
     def batch(self, U, V=None):
         """The polynomials at each row of the float arrays U and V, shape
@@ -297,6 +302,24 @@ class QuadraticTable:
         for i, j, c in zip(I, J, C):
             acc += c[:, None] * Ut[i] * Vt[j]
         return acc.T
+
+
+@lru_cache(maxsize=None)
+def _bot_table():
+    """i_B ω on 3-forms as a bilinear table in (B, ω), B's 15 bivector
+    coefficients and ω's 20, one entry per coefficient of the 1-form; at
+    B = X_Ω it is ⊥ω.
+
+    With i_{e_i∧e_j} = i_{e_j} ∘ i_{e_i}, i_{e_i∧e_j}(e_i∧e_j∧e_k) = e_k, so
+    e_I, I = {i, j, k} ∋ i < j, contributes the sign of sorting (i, j, k).
+    """
+    entries = [{} for _ in range(DIM)]
+    for (i, j), p in POS[2].items():
+        for k in range(1, DIM + 1):
+            sign, I = merge_sign((i, j), (k,))
+            if sign:
+                entries[k - 1][p, POS[3][I]] = sign
+    return QuadraticTable(entries)
 
 
 def _all_rational(w):

@@ -10,19 +10,11 @@ pencil gives q_ω independently of K, and `compat_q_k` compares the two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .exterior import (
-    COMBS,
-    DIM,
-    Bivector6,
-    KForm,
-    interior_bivector,
-    interior_vector,
-    wedge,
-)
+from .exterior import DIM, _bot_table, interior_vector, wedge
 from .symplectic import EffectivenessError, is_effective
 from .hitchin import _k_table, hitchin_k
 
@@ -63,11 +55,11 @@ class CubicPencil:
     c0: object
 
 
-def _kt_a(K, s):
+def _kt_a(K, A):
     """M = KᵀA, A the matrix of Ω, summed over A's nonzero entries only."""
     real = isinstance(K[0][0], float)
     M = [[0] * DIM for _ in range(DIM)]
-    for k, row in enumerate(s.matrix):
+    for k, row in enumerate(A):
         for j, a in enumerate(row):
             if a != 0:
                 a = float(a) if real else a
@@ -78,7 +70,7 @@ def _kt_a(K, s):
 
 def _q_of_k(K, s):
     """Q of the form whose K-map is K: Q = (M + Mᵀ)/4 with M = KᵀA."""
-    M = _kt_a(K, s)
+    M = _kt_a(K, s.matrix)
     quarter = 0.25 if isinstance(M[0][0], float) else Fraction(1, 4)
     Q = [[0] * DIM for _ in range(DIM)]
     for i in range(DIM):
@@ -97,19 +89,6 @@ def q_form(omega, s, tol=0):
     return _q_of_k(hitchin_k(omega, s), s)
 
 
-@lru_cache(maxsize=32, typed=True)
-def _bot_matrix(*x_omega):
-    """⊥ on 3-forms as a read-only float 20 × 6 matrix, row I holding ⊥e_I,
-    for the space with dual bivector x_omega."""
-    import numpy as np
-
-    B = Bivector6(x_omega)
-    M = np.array([[float(c) for c in interior_bivector(B, KForm.basis(*I)).coeffs]
-                  for I in COMBS[3]])
-    M.flags.writeable = False
-    return M
-
-
 def q_matrices(W, s):
     """The matrices of q_form at each row of the float array W of 3-form
     coefficients, shape (N, 20): an (N, 6, 6) float array.  Every row must
@@ -117,8 +96,9 @@ def q_matrices(W, s):
     import numpy as np
 
     W = np.asarray(W, dtype=float)
-    x_omega = s.x_omega.coeffs
-    bot = np.abs(np.einsum("nI,Ia->na", W, _bot_matrix(*x_omega))).max(axis=1)
+    x_omega = np.array(s.x_omega.coeffs, dtype=float)
+    X = np.broadcast_to(x_omega, (len(W), x_omega.size))
+    bot = np.abs(_bot_table().batch(X, W)).max(axis=1)
     if not (bot <= 1e-9 * (1 + np.abs(W).max(axis=1))).all():
         raise EffectivenessError("q_form requires an effective 3-form")
     K = (_k_table().batch(W) / float(s.theta.coeffs[0])).reshape(-1, DIM, DIM)
@@ -145,7 +125,7 @@ def compat_q_k(omega, s, K=None):
         K = hitchin_k(omega, s)
     top = _omega_cubed(s)
     phis = [interior_vector([int(i == a) for i in range(DIM)], omega) for a in range(DIM)]
-    M = _kt_a(K, s)
+    M = _kt_a(K, s.matrix)
     half = 0.5 if isinstance(M[0][0], float) else Fraction(1, 2)
     res = 0
     for i in range(DIM):
@@ -158,8 +138,9 @@ def compat_q_k(omega, s, K=None):
 def signature(Q, tol=1e-9):
     """Sylvester inertia of a symmetric quadratic form.
 
-    Exact entries use symmetric congruence diagonalization over the
-    rationals; float entries fall back to eigenvalue signs with ``tol``.
+    Exact entries are diagonalized by symmetric congruence in Python ints
+    over their common denominator; float entries fall back to eigenvalue
+    signs with ``tol``.
     """
     M = [list(row) for row in Q.matrix]
     if any(isinstance(M[i][j], float) for i in range(DIM) for j in range(DIM)):
@@ -170,17 +151,21 @@ def signature(Q, tol=1e-9):
         pos = int((eig > tol * scale).sum())
         neg = int((eig < -tol * scale).sum())
         return Signature(pos, neg, DIM - pos - neg)
-    pos = neg = zero = 0
-    n = DIM
-    r = 0
-    while r < n:
-        # choose a nonzero diagonal pivot, manufacturing one if necessary
-        piv = next((i for i in range(r, n) if M[i][i] != 0), None)
+    # clear the denominators, then eliminate in ints: each pivot's Schur
+    # complement is scaled by |pivot|, which keeps its inertia and its
+    # entries ints, and divided by the gcd of its entries
+    d = math.lcm(*(x.denominator for row in M for x in row))
+    M = [[x.numerator * (d // x.denominator) for x in row] for row in M]
+    pos = neg = 0
+    while M:
+        n = len(M)
+        piv = next((i for i in range(n) if M[i][i]), None)
         if piv is None:
-            pair = next(((i, j) for i in range(r, n) for j in range(i + 1, n)
-                         if M[i][j] != 0), None)
+            # manufacture one: M[i] += M[j] on rows and columns makes
+            # M[i][i] = 2·M[i][j]
+            pair = next(((i, j) for i in range(n) for j in range(i + 1, n) if M[i][j]),
+                        None)
             if pair is None:
-                zero += n - r
                 break
             i, j = pair
             for c in range(n):
@@ -188,24 +173,20 @@ def signature(Q, tol=1e-9):
             for c in range(n):
                 M[c][i] += M[c][j]
             piv = i
-        if piv != r:
-            M[r], M[piv] = M[piv], M[r]
-            for c in range(n):
-                M[c][r], M[c][piv] = M[c][piv], M[c][r]
-        p = M[r][r]
+        row = M[piv]
+        p = row[piv]
         if p > 0:
             pos += 1
         else:
             neg += 1
-        for i in range(r + 1, n):
-            if M[i][r] != 0:
-                f = Fraction(M[i][r]) / Fraction(p)
-                for c in range(n):
-                    M[i][c] -= f * M[r][c]
-                for c in range(n):
-                    M[c][i] -= f * M[c][r]
-        r += 1
-    return Signature(pos, neg, zero)
+        # |p| times the Schur complement M − v·vᵀ/p, v the pivot's column
+        rest = [k for k in range(n) if k != piv]
+        sign = 1 if p > 0 else -1
+        M = [[abs(p) * M[i][j] - sign * row[i] * row[j] for j in rest] for i in rest]
+        g = math.gcd(*(x for r in M for x in r))
+        if g > 1:
+            M = [[x // g for x in r] for r in M]
+    return Signature(pos, neg, len(M))
 
 
 def _omega_cubed(s):
@@ -239,6 +220,6 @@ def char_pencil(omega, s, X):
 def in_sp3(K, s, tol=0):
     """True iff Ω(KX, Y) + Ω(X, KY) = 0 for all X, Y, i.e. Kᵀ A + A K = 0:
     as A is antisymmetric, iff M = KᵀA is symmetric."""
-    M = _kt_a(K, s)
+    M = _kt_a(K, s.matrix)
     res = max(abs(M[i][j] - M[j][i]) for i in range(DIM) for j in range(i + 1, DIM))
     return res <= tol

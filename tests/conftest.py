@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from ma6.exterior import KForm, dim_grade
-from ma6.symplectic import SymplecticSpace, project_effective, standard_space
+from ma6.lr import Signature
+from ma6.symplectic import SymplecticSpace, _mat_inverse, project_effective, standard_space
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +22,85 @@ def other_space():
              + KForm.basis(3, 6, scale=Fraction(1)) + KForm.basis(1, 2, scale=Fraction(1))
              + KForm.basis(5, 6, scale=Fraction(1, 2)))
     return SymplecticSpace(omega)
+
+
+@pytest.fixture(scope="session")
+def negative_space():
+    """Ω = −dq1∧dp1 + dq2∧dp2 + dq3∧dp3 with θ = −e123456: exact classify's
+    int matrix NᵀA′ + A′ᵀN is a negative multiple of Q here, so its pos and
+    neg must be swapped."""
+    omega = (KForm.basis(1, 4, scale=Fraction(-1)) + KForm.basis(2, 5, scale=Fraction(1))
+             + KForm.basis(3, 6, scale=Fraction(1)))
+    return SymplecticSpace(omega)
+
+
+@lru_cache(maxsize=None)
+def darboux_map(s):
+    """P with P*Ω0 = Ω, Ω0 the standard form: the inverse of the matrix whose
+    columns e1, e2, e3, f1, f2, f3 are a Darboux basis of Ω, Ω(e_i, f_j) =
+    δ_ij and Ω(e_i, e_j) = Ω(f_i, f_j) = 0, by symplectic Gram-Schmidt over
+    the rationals.  So P*ω is effective on s iff ω is on the standard space,
+    in the same orbit class and with the same λ."""
+    A = s.matrix
+
+    def om(x, y):
+        return sum(x[i] * A[i][j] * y[j] for i in range(6) for j in range(6))
+
+    pool = [[Fraction(int(i == j)) for i in range(6)] for j in range(6)]
+    es, fs = [], []
+    while pool:
+        e = pool.pop(0)
+        k = next(k for k, v in enumerate(pool) if om(e, v) != 0)
+        f = pool.pop(k)
+        f = [x / om(e, f) for x in f]
+        es.append(e)
+        fs.append(f)
+        # onto the Ω-complement of span(e, f)
+        pool = [[v[i] - om(v, f) * e[i] + om(v, e) * f[i] for i in range(6)] for v in pool]
+    basis = es + fs
+    return _mat_inverse([[basis[j][i] for j in range(6)] for i in range(6)])
+
+
+def reference_signature(Q):
+    """Sylvester inertia by congruence diagonalization over the Fractions,
+    manufacturing a zero diagonal's pivot from M[i] += M[j] on rows and
+    columns."""
+    M = [[Fraction(x) for x in row] for row in Q.matrix]
+    n = len(M)
+    pos = neg = zero = 0
+    r = 0
+    while r < n:
+        piv = next((i for i in range(r, n) if M[i][i] != 0), None)
+        if piv is None:
+            pair = next(((i, j) for i in range(r, n) for j in range(i + 1, n)
+                         if M[i][j] != 0), None)
+            if pair is None:
+                zero += n - r
+                break
+            i, j = pair
+            for c in range(n):
+                M[i][c] += M[j][c]
+            for c in range(n):
+                M[c][i] += M[c][j]
+            piv = i
+        if piv != r:
+            M[r], M[piv] = M[piv], M[r]
+            for c in range(n):
+                M[c][r], M[c][piv] = M[c][piv], M[c][r]
+        p = M[r][r]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(r + 1, n):
+            if M[i][r] != 0:
+                f = M[i][r] / p
+                for c in range(n):
+                    M[i][c] -= f * M[r][c]
+                for c in range(n):
+                    M[c][i] -= f * M[c][r]
+        r += 1
+    return Signature(pos, neg, zero)
 
 
 def rand_fraction(rng, num=6, den=4):

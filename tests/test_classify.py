@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import ma6.exterior
 import ma6.hitchin
+import ma6.lr
 import ma6.symplectic
 
 from ma6.classify import (
@@ -20,7 +21,7 @@ from ma6.classify import (
     classify,
     table1_form,
 )
-from ma6.exterior import ExactComplex, KForm, _im, wedge
+from ma6.exterior import ExactComplex, KForm, QuadraticTable, _bot_table, _im, wedge
 from ma6.hitchin import (
     DegenerateFormError,
     ExactnessError,
@@ -33,9 +34,9 @@ from ma6.hitchin import (
     split_pair,
 )
 from ma6.lr import in_sp3, q_form
-from ma6.symplectic import EffectivenessError, project_effective
+from ma6.symplectic import EffectivenessError, bot, is_effective, project_effective
 
-from conftest import rand_fraction
+from conftest import darboux_map, rand_fraction, reference_signature
 
 PARAMS = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]
 
@@ -249,10 +250,13 @@ def test_q_and_class_are_symplectic_invariants(space, other_space, coeffs, shear
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of hitchin_k and symplectic.bot calls, under every name a ma6
-    module imported them by."""
-    counts = {"hitchin_k": 0, "bot": 0}
-    for name, fn in (("hitchin_k", ma6.hitchin.hitchin_k), ("bot", ma6.symplectic.bot)):
+    """Counts of hitchin_k, symplectic.bot and lr._q_of_k calls, under every
+    name a ma6 module imported them by, and of evaluations of the ⊥ table
+    (a call of its __call__, rational or batch, not counting one made from
+    another)."""
+    counts = {"hitchin_k": 0, "bot": 0, "_q_of_k": 0, "bot_table": 0}
+    for name, fn in (("hitchin_k", ma6.hitchin.hitchin_k), ("bot", ma6.symplectic.bot),
+                     ("_q_of_k", ma6.lr._q_of_k)):
         def counting(*args, _fn=fn, _name=name, **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
@@ -261,6 +265,18 @@ def calls(monkeypatch):
             if (mod_name == "ma6" or mod_name.startswith("ma6.")) \
                     and getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, counting)
+    table, depth = _bot_table(), []
+    for name in ("__call__", "rational", "batch"):
+        def evaluating(self, *args, _fn=getattr(QuadraticTable, name), **kwargs):
+            if self is table and not depth:
+                counts["bot_table"] += 1
+            depth.append(self)
+            try:
+                return _fn(self, *args, **kwargs)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(QuadraticTable, name, evaluating)
     return counts
 
 
@@ -288,11 +304,76 @@ def test_split_and_build_gcy_wedge_once(space, monkeypatch):
 
 @pytest.mark.parametrize("p", [Fraction(1), 1.5])
 def test_classify_and_build_gcy_build_one_k(space, calls, p):
-    """classify and build_gcy each build K once and run the ⊥ guard once:
-    λ, Q, the normalized K and the dual all come from that K."""
+    """Exact classify takes λ and the inertia of q from one int pass behind
+    one evaluation of the ⊥ table: no K, no ⊥ through interior_bivector and
+    no Q in Fractions.  Float classify and build_gcy each build K once and
+    run the ⊥ guard once: λ, Q, the normalized K and the dual all come from
+    that K."""
+    one_k = {"hitchin_k": 1, "bot": 1, "_q_of_k": 1, "bot_table": 0}
     omega = table1_form(1, p)
     classify(omega, space)
-    assert calls == {"hitchin_k": 1, "bot": 1}
-    calls.update(hitchin_k=0, bot=0)
+    exact = not isinstance(p, float)
+    assert calls == ({"hitchin_k": 0, "bot": 0, "_q_of_k": 0, "bot_table": 1}
+                     if exact else one_k)
+    calls.update(dict.fromkeys(calls, 0))
     build_gcy(omega, space)
-    assert calls == {"hitchin_k": 1, "bot": 1}
+    assert calls == one_k
+
+
+_orbit_rows = st.integers(1, 9)
+_scales = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+
+
+def orbit_forms(space, row, p, shears, spaces):
+    """Table row `row` at p moved by an exact product of Sp(6) shears, and
+    carried to each of `spaces` by its Darboux map: a form of the row's
+    class on every space."""
+    moved = table1_form(row, p).pullback(symplectic_shears(space.matrix, shears))
+    return [(s, moved if s is space else moved.pullback(darboux_map(s))) for s in spaces]
+
+
+@settings(max_examples=40, deadline=None)
+@given(row=_orbit_rows, p=_row_params, shears=_small_shears)
+def test_exact_classify_matches_fraction_oracle(space, other_space, negative_space,
+                                                row, p, shears):
+    """Exact classify of orbit forms on the standard space, on other_space
+    and on negative_space (θ < 0) gives the row's class, λ = pfaffian
+    (K in Fractions) and the inertia of q_form by Fraction elimination."""
+    for s, omega in orbit_forms(space, row, p, shears, (space, other_space, negative_space)):
+        cls, report = classify(omega, s)
+        assert cls == TABLE1_CLASSES[row]
+        assert report.lambda_ == pfaffian(omega, s) == expected_lambda(row, p)
+        assert report.signature == reference_signature(q_form(omega, s))
+
+
+@settings(max_examples=30, deadline=None)
+@given(row=_orbit_rows, p=_row_params, shears=_small_shears, t=_scales)
+def test_lambda_is_quartic(space, other_space, negative_space, row, p, shears, t):
+    """λ(tω) = t⁴λ(ω) exactly, and the class and signature are unchanged,
+    for rational t ≠ 0 (q(tω) = t²q(ω))."""
+    for s, omega in orbit_forms(space, row, p, shears, (space, other_space, negative_space)):
+        cls, report = classify(omega, s)
+        cls_t, report_t = classify(omega * t, s)
+        assert report_t.lambda_ == t ** 4 * report.lambda_
+        assert (cls_t, report_t.signature) == (cls, report.signature)
+
+
+def test_exact_classify_guard(space, other_space, negative_space):
+    """An orbit form moved off effectiveness by 10⁻¹² in a non-effective
+    direction raises EffectivenessError.  Moved off by k·tol, |⊥ω| = k·tol,
+    and exact classify with that tol raises exactly when k > 1."""
+    n = KForm.basis(1, 2, 4)
+    for s, omega in orbit_forms(space, 1, Fraction(3, 2), [([1, 0, -1, 0, 1, 0], 1)],
+                                (space, other_space, negative_space)):
+        assert not is_effective(s, n)
+        with pytest.raises(EffectivenessError):
+            classify(omega + n * Fraction(1, 10 ** 12), s)
+        tol = Fraction(1, 10 ** 9)
+        for k in (Fraction(1, 2), Fraction(9, 10), 1, Fraction(11, 10), 2):
+            off = omega + n * (k * tol / bot(s, n).max_abs())
+            assert is_effective(s, off, tol=tol) == (k <= 1)
+            if k <= 1:
+                assert classify(off, s, tol=tol)[0] == OrbitClass.HESSIAN_ONE
+            else:
+                with pytest.raises(EffectivenessError):
+                    classify(off, s, tol=tol)

@@ -146,6 +146,20 @@ def test_cli_split_round_trip():
     assert parse_form(rep["alpha"]) == alpha  # round trip is stable
 
 
+@pytest.mark.parametrize("row, want", [(1, (Fraction(-1, 6), None)),
+                                       (2, (Fraction(0), Fraction(-1, 6)))])
+def test_cli_split_ratio_reads_back(row, want):
+    """ma6 split prints the exact ratio (α∧β)/Ω³ as a rational string, and
+    an elliptic one as {"re", "im"} of rational strings, so both read back."""
+    proc = run_cli_process(["split"], form_doc(table1_form(row, Fraction(1))))
+    assert proc.returncode == 0, proc.stderr
+    ratio = json.loads(proc.stdout)["structure"]["ratio"]
+    if want[1] is None:
+        assert Fraction(ratio) == want[0]
+    else:
+        assert (Fraction(ratio["re"]), Fraction(ratio["im"])) == want
+
+
 def test_cli_split_degenerate_exit4():
     code, _ = run_cli(["split"], stdin_text=form_doc(table1_form(4)))
     assert code == 4

@@ -12,13 +12,14 @@ from ma6.exterior import (
     ExactComplex,
     GradeError,
     KForm,
+    _bot_table,
     interior_bivector,
     interior_vector,
     rational_sqrt,
     wedge,
 )
 
-from conftest import rand_form, rand_vector
+from conftest import rand_form, rand_fraction, rand_vector
 
 
 def det_perm(vals):
@@ -114,6 +115,22 @@ def test_interior_bivector_decomposable(rng):
         form = rand_form(rng, 3)
         assert interior_bivector(B, form) == \
             interior_vector(Y, interior_vector(X, form))
+
+
+def test_bot_table_matches_interior_bivector(rng):
+    """The bilinear table of i_B ω on 3-forms equals interior_bivector, ==
+    on rational (B, ω) and as a float batch within 1e-12·(1 + |B|·|ω|)."""
+    import numpy as np
+
+    table = _bot_table()
+    for _ in range(50):
+        B = Bivector6([rand_fraction(rng) for _ in range(15)])
+        form = rand_form(rng, 3)
+        want = interior_bivector(B, form)
+        assert KForm(1, table(B.coeffs, form.coeffs)) == want
+        got = table.batch([[float(c) for c in B.coeffs]], [[float(c) for c in form.coeffs]])
+        scale = 1 + float(max(map(abs, B.coeffs)) * form.max_abs())
+        assert np.abs(got[0] - [float(c) for c in want.coeffs]).max() <= 1e-12 * scale
 
 
 def test_pullback_functorial(rng):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ma6.exterior import KForm, interior_vector, wedge
 from ma6.hitchin import _k_table, hitchin_k
@@ -21,7 +22,7 @@ from ma6.lr import (
 )
 from ma6.symplectic import EffectivenessError, bot, is_effective, project_effective, top
 
-from conftest import rand_effective, rand_form, rand_vector
+from conftest import rand_effective, rand_form, rand_vector, reference_signature
 
 
 def test_q_of_product_anchor(space):
@@ -174,6 +175,36 @@ def test_signature_exact_vs_float(rng):
         eig = np.linalg.eigvalsh(np.array(M, dtype=float))
         assert sig.pos == int((eig > 1e-9).sum())
         assert sig.neg == int((eig < -1e-9).sum())
+
+
+_rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+
+
+@st.composite
+def _symmetric_rational(draw):
+    """A symmetric 6×6 rational matrix Σ_k s_k·v_k·v_kᵀ of rank ≤ r, for
+    r = 0..6 and s_k = ±1, with its diagonal zeroed when asked."""
+    r = draw(st.integers(0, 6))
+    M = [[Fraction(0)] * 6 for _ in range(6)]
+    for _ in range(r):
+        v = draw(st.lists(_rationals, min_size=6, max_size=6))
+        sign = draw(st.sampled_from([1, -1]))
+        for i in range(6):
+            for j in range(6):
+                M[i][j] += sign * v[i] * v[j]
+    if draw(st.booleans()):
+        for i in range(6):
+            M[i][i] = Fraction(0)
+    return QuadForm6(tuple(map(tuple, M)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(Q=_symmetric_rational())
+def test_signature_matches_fraction_elimination(Q):
+    """The int elimination of signature gives the inertia of the Fraction
+    congruence diagonalization, on matrices of every rank 0-6, with and
+    without a zero diagonal."""
+    assert signature(Q) == reference_signature(Q)
 
 
 def test_char_pencil_coefficients(space, rng):
