@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exterior import DIM, KForm, _all_rational, _bot_table, _cleared
+from .exterior import DIM, KForm, _all_rational, _cleared
 from .symplectic import EffectivenessError, is_effective
 from .hitchin import (
     DegenerateFormError,
@@ -111,10 +111,9 @@ TABLE1_CLASSES = {
 }
 
 
-def _exact_invariants(omega, s, tol):
-    """(λ, inertia of q_ω) for rational ω on a rational space, in ints over
-    the cleared coefficients, behind the ⊥ guard (⊥ω = 0, or |⊥ω| ≤ tol
-    when tol is given).
+def _exact_invariants(omega, s):
+    """(λ, inertia of q_ω) for an effective rational ω on a rational space,
+    in ints over the cleared coefficients.
 
     The K table gives θ·K = N/den in ints.  With θ = a/b and c = den·a,
     K = b·N/c, so λ = tr(K²)/6 = b²·tr(N²)/(6c²).  With A = A'/e the matrix
@@ -122,9 +121,6 @@ def _exact_invariants(omega, s, tol):
     int matrix S = NᵀA' + A'ᵀN, whose inertia is Q's, with pos and neg
     swapped when c < 0.
     """
-    bot, den = _bot_table().rational(s.x_omega.coeffs, omega.coeffs)
-    if Fraction(max(map(abs, bot)), den) > tol if tol else any(bot):
-        raise EffectivenessError("classification requires an effective 3-form")
     N, den = _k_table().rational(omega.coeffs)
     N = [N[DIM * i:DIM * (i + 1)] for i in range(DIM)]
     theta = s.theta.coeffs[0]
@@ -145,11 +141,11 @@ def classify(omega, s, tol=0):
     """Map an effective 3-form to its orbit class and invariant report."""
     float_mode = any(isinstance(c, float) for c in omega.coeffs)
     eff_tol = tol if tol else (1e-9 * (1 + omega.max_abs()) if float_mode else 0)
+    if not is_effective(s, omega, tol=eff_tol):
+        raise EffectivenessError("classification requires an effective 3-form")
     if _all_rational(omega.coeffs) and _all_rational(s.omega.coeffs):
-        lam, sig = _exact_invariants(omega, s, eff_tol)
+        lam, sig = _exact_invariants(omega, s)
     else:
-        if not is_effective(s, omega, tol=eff_tol):
-            raise EffectivenessError("classification requires an effective 3-form")
         K = hitchin_k(omega, s)
         lam = _lambda_of_k(K)
         if _lambda_is_zero(lam, omega):

@@ -3,6 +3,8 @@
 Coefficients are ordinary Python scalars: ``fractions.Fraction`` for exact
 work, ``float`` for numerics, ``complex``/``ExactComplex`` for the elliptic
 branch.  All values are immutable; every operation is a pure function.
+wedge, i_X and i_B are each one ``QuadraticTable`` per grade (pair), whose
+call picks the arithmetic for the scalar type.
 
 Basis covectors are indexed 1..6 and identified with the Darboux
 coordinates (q1, q2, q3, p1, p2, p3).
@@ -213,19 +215,7 @@ def wedge(a, b):
     j, k = a.grade, b.grade
     if j + k > DIM:
         raise GradeError(f"wedge of grades {j} and {k} exceeds dimension {DIM}")
-    out = [0] * dim_grade(j + k)
-    pos = POS[j + k]
-    for ia, ca in zip(COMBS[j], a.coeffs):
-        if ca == 0:
-            continue
-        for ib, cb in zip(COMBS[k], b.coeffs):
-            if cb == 0:
-                continue
-            sign, merged = merge_sign(ia, ib)
-            if sign:
-                p = pos[merged]
-                out[p] = out[p] + sign * ca * cb
-    return KForm(j + k, out)
+    return KForm(j + k, _wedge_table(j, k)(a.coeffs, b.coeffs))
 
 
 class QuadraticTable:
@@ -304,21 +294,55 @@ class QuadraticTable:
         return acc.T
 
 
-@lru_cache(maxsize=None)
-def _bot_table():
-    """i_B ω on 3-forms as a bilinear table in (B, ω), B's 15 bivector
-    coefficients and ω's 20, one entry per coefficient of the 1-form; at
-    B = X_Ω it is ⊥ω.
+# --- the bilinear products, as tables summed in the order of a loop over the
+# first argument's coefficients, then the second's
 
-    With i_{e_i∧e_j} = i_{e_j} ∘ i_{e_i}, i_{e_i∧e_j}(e_i∧e_j∧e_k) = e_k, so
-    e_I, I = {i, j, k} ∋ i < j, contributes the sign of sorting (i, j, k).
-    """
-    entries = [{} for _ in range(DIM)]
-    for (i, j), p in POS[2].items():
-        for k in range(1, DIM + 1):
-            sign, I = merge_sign((i, j), (k,))
+@lru_cache(maxsize=None)
+def _wedge_table(j, k):
+    """a ∧ b as a bilinear table in (a, b), a of grade j and b of grade k,
+    one entry per coefficient of the (j+k)-form: e_I ∧ e_J is the sign of
+    sorting (I, J) times e_{I∪J}, or 0 when I and J meet."""
+    entries = [{} for _ in COMBS[j + k]]
+    for p, I in enumerate(COMBS[j]):
+        for q, J in enumerate(COMBS[k]):
+            sign, merged = merge_sign(I, J)
             if sign:
-                entries[k - 1][p, POS[3][I]] = sign
+                entries[POS[j + k][merged]][p, q] = sign
+    return QuadraticTable(entries)
+
+
+@lru_cache(maxsize=None)
+def _interior_table(k):
+    """i_X ω on k-forms as a bilinear table in (ω, X), ω's coefficients and
+    X's 6 components, one entry per coefficient of the (k−1)-form.
+
+    i_{e_i}(e_i ∧ e_J) = e_J, so e_I, I = {i} ∪ J, contributes the sign of
+    sorting (i, J).
+    """
+    entries = [{} for _ in COMBS[k - 1]]
+    for q, J in enumerate(COMBS[k - 1]):
+        for i in range(1, DIM + 1):
+            sign, I = merge_sign((i,), J)
+            if sign:
+                entries[q][POS[k][I], i - 1] = sign
+    return QuadraticTable(entries)
+
+
+@lru_cache(maxsize=None)
+def _bot_table(k):
+    """i_B ω on k-forms, k ≥ 2, as a bilinear table in (B, ω), B's 15
+    bivector coefficients and ω's, one entry per coefficient of the
+    (k−2)-form; at B = X_Ω it is ⊥ω.
+
+    With i_{e_i∧e_j} = i_{e_j} ∘ i_{e_i}, i_{e_i∧e_j}(e_i∧e_j∧e_J) = e_J, so
+    e_I, I = {i, j} ∪ J ∋ i < j, contributes the sign of sorting (i, j, J).
+    """
+    entries = [{} for _ in COMBS[k - 2]]
+    for p, B in enumerate(COMBS[2]):
+        for q, J in enumerate(COMBS[k - 2]):
+            sign, I = merge_sign(B, J)
+            if sign:
+                entries[q][p, POS[k][I]] = sign
     return QuadraticTable(entries)
 
 
@@ -341,19 +365,7 @@ def interior_vector(X, omega):
     k = omega.grade
     if k < 1:
         raise GradeError("cannot contract a 0-form with a vector")
-    out = [0] * dim_grade(k - 1)
-    pos = POS[k - 1]
-    for idx, c in zip(COMBS[k], omega.coeffs):
-        if c == 0:
-            continue
-        for t, i in enumerate(idx):
-            xi = X[i - 1]
-            if xi == 0:
-                continue
-            rest = idx[:t] + idx[t + 1:]
-            p = pos[rest]
-            out[p] = out[p] + ((-1) ** t) * xi * c
-    return KForm(k - 1, out)
+    return KForm(k - 1, _interior_table(k)(omega.coeffs, X))
 
 
 class Bivector6:
@@ -397,16 +409,7 @@ def interior_bivector(B, omega):
     k = omega.grade
     if k < 2:
         raise GradeError("cannot contract a form of grade < 2 with a bivector")
-    out = KForm.zero(k - 2)
-    for (i, j), c in zip(COMBS[2], B.coeffs):
-        if c == 0:
-            continue
-        ei = [0] * DIM
-        ei[i - 1] = 1
-        ej = [0] * DIM
-        ej[j - 1] = 1
-        out = out + c * interior_vector(ej, interior_vector(ei, omega))
-    return out
+    return KForm(k - 2, _bot_table(k)(B.coeffs, omega.coeffs))
 
 
 # --- scalar helpers -------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exterior import DIM, _bot_table, interior_vector, wedge
 from .symplectic import EffectivenessError, is_effective
@@ -71,11 +70,10 @@ def _kt_a(K, A):
 def _q_of_k(K, s):
     """Q of the form whose K-map is K: Q = (M + Mᵀ)/4 with M = KᵀA."""
     M = _kt_a(K, s.matrix)
-    quarter = 0.25 if isinstance(M[0][0], float) else Fraction(1, 4)
     Q = [[0] * DIM for _ in range(DIM)]
     for i in range(DIM):
         for j in range(i, DIM):
-            Q[i][j] = Q[j][i] = (M[i][j] + M[j][i]) * quarter
+            Q[i][j] = Q[j][i] = (M[i][j] + M[j][i]) / 4
     return QuadForm6(tuple(tuple(row) for row in Q))
 
 
@@ -98,7 +96,7 @@ def q_matrices(W, s):
     W = np.asarray(W, dtype=float)
     x_omega = np.array(s.x_omega.coeffs, dtype=float)
     X = np.broadcast_to(x_omega, (len(W), x_omega.size))
-    bot = np.abs(_bot_table().batch(X, W)).max(axis=1)
+    bot = np.abs(_bot_table(3).batch(X, W)).max(axis=1)
     if not (bot <= 1e-9 * (1 + np.abs(W).max(axis=1))).all():
         raise EffectivenessError("q_form requires an effective 3-form")
     K = (_k_table().batch(W) / float(s.theta.coeffs[0])).reshape(-1, DIM, DIM)
@@ -126,12 +124,11 @@ def compat_q_k(omega, s, K=None):
     top = _omega_cubed(s)
     phis = [interior_vector([int(i == a) for i in range(DIM)], omega) for a in range(DIM)]
     M = _kt_a(K, s.matrix)
-    half = 0.5 if isinstance(M[0][0], float) else Fraction(1, 2)
     res = 0
     for i in range(DIM):
         for j in range(i, DIM):
             q = _pencil_c1(phis[i], phis[j], s, top)
-            res = max(res, abs(COMPAT_SCALE * q - (M[i][j] + M[j][i]) * half))
+            res = max(res, abs(COMPAT_SCALE * q - (M[i][j] + M[j][i]) / 2))
     return res
 
 

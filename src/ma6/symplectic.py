@@ -26,16 +26,13 @@ class EffectivenessError(ValueError):
 
 
 def _mat_inverse(M):
-    """Exact Gauss-Jordan inverse for a 6x6 matrix of Fractions/floats."""
+    """Gauss-Jordan inverse of a 6x6 matrix of Fractions or floats, pivoting
+    on the largest |entry| so that no float rounding residue is a pivot."""
     n = len(M)
     A = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(M)]
     for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if A[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
+        piv = max(range(col, n), key=lambda r: abs(A[r][col]))
+        if A[piv][col] == 0:
             raise DegenerateError("matrix is singular")
         A[col], A[piv] = A[piv], A[col]
         p = A[col][col]
@@ -126,12 +123,7 @@ def hll_decompose(s, omega):
         raise GradeError("HLL decomposition implemented for grades ≤ 3 only")
     if k < 2:
         return omega, None
-    b = bot(s, omega)
-    div = 3 if k == 2 else 2
-    if isinstance(b.coeffs[0], float):
-        omega1 = b * (1.0 / div)
-    else:
-        omega1 = b * Fraction(1, div)
+    omega1 = bot(s, omega) / (3 if k == 2 else 2)
     omega0 = omega - top(s, omega1)
     return omega0, omega1
 

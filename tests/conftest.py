@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import pytest
 
-from ma6.exterior import KForm, dim_grade
+from ma6.exterior import COMBS, DIM, POS, KForm, dim_grade, merge_sign
 from ma6.lr import Signature
 from ma6.symplectic import SymplecticSpace, _mat_inverse, project_effective, standard_space
 
@@ -101,6 +101,52 @@ def reference_signature(Q):
                     M[c][i] -= f * M[c][r]
         r += 1
     return Signature(pos, neg, zero)
+
+
+def reference_wedge(a, b):
+    """a ∧ b by the loop over all pairs of a's and b's basis forms."""
+    j, k = a.grade, b.grade
+    out = [0] * dim_grade(j + k)
+    for ia, ca in zip(COMBS[j], a.coeffs):
+        if ca == 0:
+            continue
+        for ib, cb in zip(COMBS[k], b.coeffs):
+            if cb == 0:
+                continue
+            sign, merged = merge_sign(ia, ib)
+            if sign:
+                p = POS[j + k][merged]
+                out[p] = out[p] + sign * ca * cb
+    return KForm(j + k, out)
+
+
+def reference_interior_vector(X, omega):
+    """i_X ω by dropping each index i of each basis form, with sign (−1)^t
+    for i in slot t."""
+    k = omega.grade
+    out = [0] * dim_grade(k - 1)
+    for idx, c in zip(COMBS[k], omega.coeffs):
+        if c == 0:
+            continue
+        for t, i in enumerate(idx):
+            xi = X[i - 1]
+            if xi == 0:
+                continue
+            p = POS[k - 1][idx[:t] + idx[t + 1:]]
+            out[p] = out[p] + ((-1) ** t) * xi * c
+    return KForm(k - 1, out)
+
+
+def reference_interior_bivector(B, omega):
+    """i_B ω = Σ B_ij·i_{e_j}(i_{e_i} ω) over the basis bivectors e_i∧e_j."""
+    out = KForm.zero(omega.grade - 2)
+    for (i, j), c in zip(COMBS[2], B.coeffs):
+        if c == 0:
+            continue
+        ei = [int(n == i) for n in range(1, DIM + 1)]
+        ej = [int(n == j) for n in range(1, DIM + 1)]
+        out = out + c * reference_interior_vector(ej, reference_interior_vector(ei, omega))
+    return out
 
 
 def rand_fraction(rng, num=6, den=4):

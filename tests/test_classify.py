@@ -21,8 +21,10 @@ from ma6.classify import (
     classify,
     table1_form,
 )
+from ma6.documents import parse_form
 from ma6.exterior import ExactComplex, KForm, QuadraticTable, _bot_table, _im, wedge
 from ma6.hitchin import (
+    LAMBDA_ZERO_TOL,
     DegenerateFormError,
     ExactnessError,
     SplitPair,
@@ -265,7 +267,7 @@ def calls(monkeypatch):
             if (mod_name == "ma6" or mod_name.startswith("ma6.")) \
                     and getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, counting)
-    table, depth = _bot_table(), []
+    table, depth = _bot_table(3), []
     for name in ("__call__", "rational", "batch"):
         def evaluating(self, *args, _fn=getattr(QuadraticTable, name), **kwargs):
             if self is table and not depth:
@@ -304,16 +306,16 @@ def test_split_and_build_gcy_wedge_once(space, monkeypatch):
 
 @pytest.mark.parametrize("p", [Fraction(1), 1.5])
 def test_classify_and_build_gcy_build_one_k(space, calls, p):
-    """Exact classify takes λ and the inertia of q from one int pass behind
-    one evaluation of the ⊥ table: no K, no ⊥ through interior_bivector and
-    no Q in Fractions.  Float classify and build_gcy each build K once and
-    run the ⊥ guard once: λ, Q, the normalized K and the dual all come from
-    that K."""
-    one_k = {"hitchin_k": 1, "bot": 1, "_q_of_k": 1, "bot_table": 0}
+    """classify runs one ⊥ guard, one evaluation of the ⊥ table, on both
+    scalar types.  Exact classify then takes λ and the inertia of q from one
+    int pass: no K and no Q in Fractions.  Float classify and build_gcy each
+    build K once: λ, Q, the normalized K and the dual all come from that
+    K."""
+    one_k = {"hitchin_k": 1, "bot": 1, "_q_of_k": 1, "bot_table": 1}
     omega = table1_form(1, p)
     classify(omega, space)
     exact = not isinstance(p, float)
-    assert calls == ({"hitchin_k": 0, "bot": 0, "_q_of_k": 0, "bot_table": 1}
+    assert calls == ({"hitchin_k": 0, "bot": 1, "_q_of_k": 0, "bot_table": 1}
                      if exact else one_k)
     calls.update(dict.fromkeys(calls, 0))
     build_gcy(omega, space)
@@ -377,3 +379,41 @@ def test_exact_classify_guard(space, other_space, negative_space):
             else:
                 with pytest.raises(EffectivenessError):
                     classify(off, s, tol=tol)
+
+
+# orbit_form(random.Random("cmp:53"), 3) of perfbench/workloads.py: table
+# row 3 at p = 4 moved by two exact shears, λ = −256 and |ω| = 770
+CMP53 = {"123": "-770", "124": "-2", "125": "1", "126": "-767/2", "134": "-253",
+         "135": "-256", "136": "-1", "145": "-1", "146": "251/2", "156": "255/2",
+         "234": "-263/2", "235": "253", "236": "-2", "245": "1/2", "246": "263/4",
+         "256": "-251/2", "345": "253/2", "346": "-1/2", "356": "-1", "456": "251/4"}
+
+
+def test_float_classify_and_split_large_form(space):
+    """In floats the cmp:53 form is SpecialLagrangianHyperbolic and splits:
+    the λ = 0 bound LAMBDA_ZERO_TOL·771⁴ ≈ 0.35 lies far below |λ| = 256
+    (a bound of 1e-9·771⁴ ≈ 353 read it as 0 and exited 4)."""
+    omega = parse_form({"version": 1, "scalar": "exact", "grade": 3,
+                        "coefficients": CMP53})
+    f = KForm(3, [float(c) for c in omega.coeffs])
+    assert classify(omega, space)[0] == OrbitClass.SPECIAL_LAGRANGIAN_HYPERBOLIC
+    cls, report = classify(f, space)
+    assert cls == OrbitClass.SPECIAL_LAGRANGIAN_HYPERBOLIC
+    assert abs(report.lambda_ + 256) <= 1e-12 * 771 ** 4
+    sp = split_pair(f, space)
+    assert (sp.alpha + sp.beta - f).max_abs() <= 1e-9 * 771 ** 3
+
+
+def test_lambda_zero_rule_margin(space):
+    """The float λ of exact forms converted to floats is within
+    LAMBDA_ZERO_TOL·(1 + |ω|)⁴ / 10³ of the exact λ: table rows 1–9 moved by
+    six random transvections, |ω| up to 4·10⁵."""
+    rng = random.Random(6)
+    worst = 0
+    for n in range(90):
+        row, p = n % 9 + 1, Fraction(rng.randint(1, 4), rng.randint(1, 3))
+        omega = table1_form(row, p).pullback(random_symplectic(rng))
+        f = KForm(3, [float(c) for c in omega.coeffs])
+        err = abs(pfaffian(f, space) - float(expected_lambda(row, p)))
+        worst = max(worst, err / (1 + f.max_abs()) ** 4)
+    assert worst * 10 ** 3 <= LAMBDA_ZERO_TOL

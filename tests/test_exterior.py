@@ -6,20 +6,29 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ma6.exterior import (
+    DIM,
     Bivector6,
     ExactComplex,
     GradeError,
     KForm,
     _bot_table,
+    dim_grade,
     interior_bivector,
     interior_vector,
     rational_sqrt,
     wedge,
 )
 
-from conftest import rand_form, rand_fraction, rand_vector
+from conftest import (
+    rand_form,
+    rand_vector,
+    reference_interior_bivector,
+    reference_interior_vector,
+    reference_wedge,
+)
 
 
 def det_perm(vals):
@@ -117,20 +126,60 @@ def test_interior_bivector_decomposable(rng):
             interior_vector(Y, interior_vector(X, form))
 
 
-def test_bot_table_matches_interior_bivector(rng):
-    """The bilinear table of i_B ω on 3-forms equals interior_bivector, ==
-    on rational (B, ω) and as a float batch within 1e-12·(1 + |B|·|ω|)."""
-    import numpy as np
+_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+_floats = st.floats(-8, 8, allow_nan=False)
+SCALARS = {
+    "int": st.integers(-6, 6),
+    "Fraction": _fractions,
+    "float": _floats,
+    "complex": st.builds(complex, _floats, _floats),
+    "ExactComplex": st.builds(ExactComplex, _fractions, _fractions),
+}
+EXACT = {"int", "Fraction", "ExactComplex"}
 
-    table = _bot_table()
-    for _ in range(50):
-        B = Bivector6([rand_fraction(rng) for _ in range(15)])
-        form = rand_form(rng, 3)
-        want = interior_bivector(B, form)
-        assert KForm(1, table(B.coeffs, form.coeffs)) == want
-        got = table.batch([[float(c) for c in B.coeffs]], [[float(c) for c in form.coeffs]])
-        scale = 1 + float(max(map(abs, B.coeffs)) * form.max_abs())
-        assert np.abs(got[0] - [float(c) for c in want.coeffs]).max() <= 1e-12 * scale
+
+def _coeffs(data, kind, n):
+    return data.draw(st.lists(SCALARS[kind], min_size=n, max_size=n))
+
+
+def _assert_matches(got, want, scale, exact):
+    if exact:
+        assert got == want
+    else:
+        assert max(abs(x - y) for x, y in zip(got.coeffs, want.coeffs)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("kinds", [(k, k) for k in SCALARS] + [
+    ("Fraction", "float"), ("float", "Fraction"), ("int", "ExactComplex"),
+    ("complex", "Fraction")], ids="-".join)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_products_match_reference_loops(kinds, data):
+    """wedge at every grade pair, interior_vector at every grade ≥ 1 and
+    interior_bivector at every grade ≥ 2 equal the pair loops of conftest:
+    == when both arguments are exact (int, Fraction, ExactComplex), within
+    1e-14·(1 + |a||b|) when a float or complex enters.  On real input the
+    float batch of the ⊥ table equals its call on floats."""
+    ka, kb = kinds
+    exact = ka in EXACT and kb in EXACT
+    a = [KForm(g, _coeffs(data, ka, dim_grade(g))) for g in range(DIM + 1)]
+    b = [KForm(g, _coeffs(data, kb, dim_grade(g))) for g in range(DIM + 1)]
+    X, B = _coeffs(data, ka, DIM), Bivector6(_coeffs(data, ka, dim_grade(2)))
+    for j in range(DIM + 1):
+        for k in range(DIM + 1 - j):
+            scale = 1 + a[j].max_abs() * b[k].max_abs()
+            _assert_matches(wedge(a[j], b[k]), reference_wedge(a[j], b[k]), scale, exact)
+    for k in range(1, DIM + 1):
+        scale = 1 + max(map(abs, X)) * b[k].max_abs()
+        _assert_matches(interior_vector(X, b[k]), reference_interior_vector(X, b[k]),
+                        scale, exact)
+    for k in range(2, DIM + 1):
+        scale = 1 + max(map(abs, B.coeffs)) * b[k].max_abs()
+        want = reference_interior_bivector(B, b[k])
+        _assert_matches(interior_bivector(B, b[k]), want, scale, exact)
+        if {ka, kb} <= {"int", "Fraction", "float"}:
+            fB, fw = [float(c) for c in B.coeffs], [float(c) for c in b[k].coeffs]
+            assert list(_bot_table(k).batch([fB], [fw])[0]) == list(_bot_table(k)(fB, fw))
 
 
 def test_pullback_functorial(rng):

@@ -1,13 +1,17 @@
 """Symplectic structure: ⊤/⊥ operators, effectiveness, and the effective
 decomposition of forms of grade ≤ 3."""
 
-import pytest
+import random
 from fractions import Fraction
+
+import numpy as np
+import pytest
 
 from ma6.exterior import KForm, wedge
 from ma6.symplectic import (
     DegenerateError,
     EffectivenessError,
+    SymplecticSpace,
     bot,
     hll_decompose,
     is_effective,
@@ -94,3 +98,45 @@ def test_effectiveness_error(space):
 
     with pytest.raises(EffectivenessError):
         q_form(KForm.basis(1, 2, 4), space)  # dq1∧dq2∧dp1 is not effective
+
+
+def float_space_error(g):
+    """For Ω = gᵀΩ0g, the pullback of the standard form by g: the largest
+    deviation of the float space's X_Ω from the exact one, relative to the
+    largest exact coefficient and divided by the condition number of Ω's
+    matrix.  None when g is singular."""
+    omega0 = standard_space().omega
+    try:
+        exact = SymplecticSpace(omega0.pullback(g))
+    except DegenerateError:
+        return None
+    s = SymplecticSpace(omega0.pullback([[float(x) for x in row] for row in g]))
+    want = [float(x) for x in exact.x_omega.coeffs]
+    err = max(abs(a - b) for a, b in zip(s.x_omega.coeffs, want)) / max(map(abs, want))
+    return err / np.linalg.cond(np.array(s.matrix, dtype=float))
+
+
+def test_float_space_pivots():
+    """A float Ω whose exact inverse meets a zero pivot: without pivoting on
+    the largest entry, a rounding residue was taken as the pivot and the
+    space raised "⊥ calibration failed: ⊥Ω = 9.3958…" (computed as
+    (gᵀΩ0)g) or "matrix is singular" (as a pullback).  The condition number
+    of Ω is 25."""
+    g = [[1, -1, 0, 0, Fraction(-2, 3), -1], [Fraction(-1, 2), 1, 1, -1, 2, 3],
+         [-2, -1, -1, 0, 3, 2], [Fraction(2, 3), 0, 2, Fraction(3, 2), -3, -1],
+         [-1, -2, Fraction(2, 3), 3, 1, 0], [0, Fraction(-1, 2), Fraction(3, 2), 1, -1, -2]]
+    assert float_space_error(g) <= 1e-14
+
+
+def test_float_spaces_match_exact():
+    """999 seeded g with entries in ±{0, 1/2, 2/3, 1, 3/2, 2, 3}: every
+    float space builds, and its X_Ω is within 1e-14·cond(Ω) of the exact
+    one, relative (measured: at most 1.4e-16·cond(Ω)).  Without pivoting
+    on the largest entry, 825 of them raised."""
+    entries = [0, Fraction(1, 2), Fraction(2, 3), 1, Fraction(3, 2), 2, 3]
+    for seed in range(999):
+        rng = random.Random(seed)
+        g = [[rng.choice(entries) * rng.choice((1, -1)) for _ in range(6)]
+             for _ in range(6)]
+        err = float_space_error(g)
+        assert err is None or err <= 1e-14, seed
