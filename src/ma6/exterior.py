@@ -275,7 +275,16 @@ class QuadraticTable:
         (N, n) and (N, m): an (N, entries) array, quadratic in U if V is
         None and bilinear in (U, V) otherwise.  Each entry sums c·u_I·v_J
         over its terms from 0.0 in table order, as ``__call__`` does on float
-        input, so the two agree bitwise."""
+        input, so the two agree bitwise.
+
+        The entries are padded to one width with the zero term 0·u_0·v_0.
+        The products (c·u_I)·v_J of a run of term slots, for every entry and
+        point, take two gathers and two in-place products; the slots are
+        then added into the sums one after another, not by a reduction,
+        which numpy may do pairwise.  A run is as many slots as fit in
+        ``_BATCH_CHUNK`` elements: every slot of θ·K up to 42 points, fewer
+        above, where arrays of all the products would be mmapped, and
+        page-faulted, afresh on every call."""
         import numpy as np
 
         if self._arrays is None:
@@ -285,13 +294,24 @@ class QuadraticTable:
                       for k in range(width)]
             self._arrays = tuple(np.array([[t[n] for t in row] for row in padded])
                                  for n in range(3))
-        I, J, C = self._arrays
-        Ut = np.asarray(U, dtype=float).T
-        Vt = Ut if V is None else np.asarray(V, dtype=float).T
-        acc = np.zeros((len(self.floats), Ut.shape[1]))
-        for i, j, c in zip(I, J, C):
-            acc += c[:, None] * Ut[i] * Vt[j]
+        I, J, C = self._arrays  # each (width, entries)
+        Ut = np.asarray(U, dtype=float).T.copy()
+        Vt = Ut if V is None else np.asarray(V, dtype=float).T.copy()
+        entries, n = I.shape[1], Ut.shape[1]
+        acc = np.zeros((entries, n))
+        run = max(1, _BATCH_CHUNK // (entries * max(n, 1)))
+        for k in range(0, len(I), run):
+            terms = Ut[I[k:k + run]]  # (slots, entries, N)
+            terms *= C[k:k + run, :, None]
+            terms *= Vt[J[k:k + run]]
+            for t in terms:
+                acc += t
         return acc.T
+
+
+# elements per run of QuadraticTable.batch: its two temporaries stay below
+# glibc's 128 KiB mmap threshold, so they come from the heap
+_BATCH_CHUNK = 15 * 1024
 
 
 # --- the bilinear products, as tables summed in the order of a loop over the

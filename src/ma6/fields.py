@@ -80,11 +80,42 @@ class FormField:
         return KForm(self.grade, tuple(_entry_eval(c, x) for c in self.coeffs))
 
     def batch(self, points):
-        """The coefficients at each of N points, one evaluation each: an
-        (N, C(6, k)) float array."""
-        rows = [[float(c) for c in self.evaluate(y).coeffs]
-                for y in np.asarray(points, dtype=float).tolist()]
-        return np.array(rows).reshape(len(rows), dim_grade(self.grade))
+        """The coefficients at each of N points: an (N, C(6, k)) float array
+        equal, bitwise, to the floats of ``evaluate`` at each point.
+
+        A pointwise field, and a callable entry, is called once per point.
+        The other entries are evaluated for all N points as arrays: a
+        constant c is float(c) at every point, and a Poly is summed from 0.0
+        over its terms in dict order, each term float(c)·x_a·x_a·… with the
+        factors multiplied in the order of ``Poly.eval``."""
+        points = np.asarray(points, dtype=float).reshape(-1, DIM)
+        if self.fn is not None:
+            rows = [[float(c) for c in self.fn(y).coeffs] for y in points.tolist()]
+            return np.array(rows).reshape(len(rows), dim_grade(self.grade))
+        cols = [_entry_column(c, points) for c in self.coeffs]
+        out = np.empty((len(points), len(cols)))
+        out[:] = [c if isinstance(c, float) else 0.0 for c in cols]
+        for i, c in enumerate(cols):
+            if not isinstance(c, float):
+                out[:, i] = c
+        return out
+
+
+def _entry_column(entry, points):
+    """A coefficient entry at the rows of points: a float if it is the same
+    at every point, else one value per point."""
+    if isinstance(entry, Poly):
+        col = 0.0
+        for e, c in entry.terms.items():
+            t = float(c)
+            for a, k in enumerate(e):
+                for _ in range(k):
+                    t = t * points[:, a]
+            col = col + t
+        return col
+    if callable(entry):
+        return [float(entry(y)) for y in points.tolist()]
+    return float(entry)
 
 
 def _to_poly(entry):
@@ -504,38 +535,48 @@ class MetricField:
         return self.batch([x])[0]
 
 
+@lru_cache(maxsize=None)
+def _stencil_plan(depth):
+    """The shape of `_stencil` at a depth, which does not depend on x or h:
+    the number of points, for the first and the second ±h step of a point
+    the (rows, axes, signs) of the points that take it, and nb."""
+    index, paths = {}, []
+
+    def add(path):
+        key = tuple(sum(sign for a, sign in path if a == b) for b in range(DIM))
+        if key not in index:
+            index[key] = len(paths)
+            paths.append(path)
+        return index[key]
+
+    inner = [()]
+    if depth == 2:
+        inner += [((a, sign),) for a in range(DIM) for sign in (1, -1)]
+    for path in inner:
+        add(path)
+    nb = np.array([[[add(path + ((b, sign),)) for sign in (1, -1)] for b in range(DIM)]
+                   for path in inner])
+    nb.flags.writeable = False
+    steps = []
+    for n in range(depth):
+        taken = [(i, *path[n]) for i, path in enumerate(paths) if len(path) > n]
+        steps.append(tuple(np.array(v) for v in zip(*taken)))
+    return len(paths), steps, nb
+
+
 def _stencil(x, h, depth):
     """The points at which the metric is needed for Γ (depth 1) or for ∂Γ
     (depth 2) at x, each once.  Γ is wanted at the inner points y_c: x, and
     for depth 2 also x ± h·e_a (c = 2a + 1, 2a + 2).  Returns the points,
     the inner points first, and nb with nb[c, b] the indices of y_c + h·e_b
     and y_c − h·e_b.  At depth 2 that is 85 points: x, x ± h·e_a,
-    x ± 2h·e_a and x ± h·e_a ± h·e_b for a < b."""
-    index = {}
-    points = []
-
-    def add(key, y):
-        if key not in index:
-            index[key] = len(points)
-            points.append(y)
-        return index[key]
-
-    def step(key, y, a, sign):
-        k = list(key)
-        k[a] += sign
-        z = list(y)
-        z[a] += sign * h
-        return tuple(k), z
-
-    origin = (0,) * DIM
-    inner = [(origin, [float(v) for v in x])]
-    if depth == 2:
-        inner += [step(origin, inner[0][1], a, sign) for a in range(DIM) for sign in (1, -1)]
-    for key, y in inner:
-        add(key, y)
-    nb = np.array([[[add(*step(key, y, b, sign)) for sign in (1, -1)]
-                    for b in range(DIM)] for key, y in inner])
-    return np.array(points), nb
+    x ± 2h·e_a and x ± h·e_a ± h·e_b for a < b.  A point takes its first
+    step from x and its second from there, so x ± 2h·e_a is (x ± h) ± h."""
+    n, steps, nb = _stencil_plan(depth)
+    points = np.tile(np.asarray(x, dtype=float), (n, 1))
+    for rows, axes, signs in steps:
+        points[rows, axes] += signs * h
+    return points, nb
 
 
 def _christoffels(G, nb, h):

@@ -12,6 +12,8 @@ from .exterior import (
     Bivector6,
     GradeError,
     KForm,
+    _all_rational,
+    _bot_table,
     interior_bivector,
     wedge,
 )
@@ -104,13 +106,17 @@ def bot(s, omega):
 
 
 def is_effective(s, omega, tol=0):
-    """True iff ⊥ω = 0; for grade 3 this coincides with ω ∧ Ω = 0."""
+    """True iff ⊥ω = 0; for grade 3 this coincides with ω ∧ Ω = 0.  With
+    tol, |⊥ω| ≤ tol instead.  At tol = 0 on rational X_Ω and ω, ⊥ω is zero
+    iff the int numerators of its table are, and no Fraction is made."""
     if omega.grade < 2:
         return True
-    b = bot(s, omega)
     if tol:
-        return b.max_abs() <= tol
-    return b.is_zero()
+        return bot(s, omega).max_abs() <= tol
+    if _all_rational(s.x_omega.coeffs) and _all_rational(omega.coeffs):
+        nums, _ = _bot_table(omega.grade).rational(s.x_omega.coeffs, omega.coeffs)
+        return not any(nums)
+    return bot(s, omega).is_zero()
 
 
 def hll_decompose(s, omega):

@@ -307,15 +307,16 @@ def test_split_and_build_gcy_wedge_once(space, monkeypatch):
 @pytest.mark.parametrize("p", [Fraction(1), 1.5])
 def test_classify_and_build_gcy_build_one_k(space, calls, p):
     """classify runs one ⊥ guard, one evaluation of the ⊥ table, on both
-    scalar types.  Exact classify then takes λ and the inertia of q from one
-    int pass: no K and no Q in Fractions.  Float classify and build_gcy each
-    build K once: λ, Q, the normalized K and the dual all come from that
-    K."""
-    one_k = {"hitchin_k": 1, "bot": 1, "_q_of_k": 1, "bot_table": 1}
+    scalar types; the exact guard tests the table's int numerators and makes
+    no bot() call.  Exact classify then takes λ and the inertia of q from
+    one int pass: no K and no Q in Fractions.  Float classify and build_gcy
+    each build K once: λ, Q, the normalized K and the dual all come from
+    that K."""
+    exact = not isinstance(p, float)
+    one_k = {"hitchin_k": 1, "bot": 0 if exact else 1, "_q_of_k": 1, "bot_table": 1}
     omega = table1_form(1, p)
     classify(omega, space)
-    exact = not isinstance(p, float)
-    assert calls == ({"hitchin_k": 0, "bot": 1, "_q_of_k": 0, "bot_table": 1}
+    assert calls == ({"hitchin_k": 0, "bot": 0, "_q_of_k": 0, "bot_table": 1}
                      if exact else one_k)
     calls.update(dict.fromkeys(calls, 0))
     build_gcy(omega, space)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ma6.classify import table1_form
 from ma6.documents import parse_field
@@ -461,6 +462,104 @@ def test_riemann_evaluates_metric_once_per_stencil_point():
         {tuple(sa * e[a] + sb * e[b]) for a in range(6) for b in range(a + 1, 6)
          for sa in (1, -1) for sb in (1, -1)}
     assert len(want) == 85 and offsets == want
+
+
+_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+_monomials = st.lists(st.integers(0, 2), min_size=6, max_size=6).map(tuple)
+# low-degree Polys, zero ones included, with and without a constant term
+_polys = st.builds(lambda terms, c: Poly({**terms, (0,) * 6: c}),
+                   st.dictionaries(_monomials, _fractions, max_size=4),
+                   st.just(0) | _fractions)
+_entries = _polys | st.integers(-6, 6) | _fractions | st.floats(-8, 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grade=st.integers(0, 6), data=st.data(),
+       points=st.lists(st.lists(st.floats(-2, 2), min_size=6, max_size=6),
+                       min_size=1, max_size=12))
+def test_coefficient_field_batch_is_pointwise_evaluation(grade, data, points):
+    """FormField.batch of a coefficient field (Poly, int, Fraction and
+    float entries, one callable entry among them) equals, bitwise, the
+    floats of evaluate at each point, and calls the callable once per
+    point."""
+    n = dim_grade(grade)
+    coeffs = data.draw(st.lists(_entries, min_size=n, max_size=n))
+    calls = []
+
+    def entry(x):
+        calls.append(x)
+        return math.sin(x[0]) - x[5] * x[1]
+
+    coeffs[data.draw(st.integers(0, n - 1))] = entry
+    fld = FormField(grade, coeffs)
+    got = fld.batch(points)
+    assert len(calls) == len(points)
+    want = np.array([[float(c) for c in fld.evaluate(y).coeffs] for y in points])
+    assert got.shape == (len(points), n)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_polynomial_field_batch_makes_no_poly_eval(monkeypatch):
+    """A parsed polynomial field is evaluated as arrays: batch makes no
+    Poly.eval call, and equals the pointwise evaluation."""
+    coeff = {"0,0,0,0,0,0": "1", "2,0,0,0,0,0": "3/2", "0,0,0,0,2,0": "1/2"}
+    fld = parse_field({"version": 1, "scalar": "exact", "grade": 3,
+                       "coefficients": {"123": coeff, "456": coeff}})
+    points = sample_box([(-0.5, 0.5)] * 6, 85, seed=5)
+    want = np.array([[float(c) for c in fld.evaluate(y).coeffs] for y in points])
+    evals = []
+    poly_eval = Poly.eval
+
+    def counting(self, x):
+        evals.append(x)
+        return poly_eval(self, x)
+
+    monkeypatch.setattr(Poly, "eval", counting)
+    assert fld.batch(points).tobytes() == want.tobytes()
+    assert evals == []
+
+
+def reference_stencil(x, h, depth):
+    """The stencil points built one ±h step at a time, z[a] += sign·h, and
+    the neighbour indices, by a dict of integer offsets."""
+    index, points = {}, []
+
+    def add(key, y):
+        if key not in index:
+            index[key] = len(points)
+            points.append(y)
+        return index[key]
+
+    def step(key, y, a, sign):
+        k, z = list(key), list(y)
+        k[a] += sign
+        z[a] += sign * h
+        return tuple(k), z
+
+    inner = [((0,) * 6, [float(v) for v in x])]
+    if depth == 2:
+        inner += [step(inner[0][0], inner[0][1], a, sign) for a in range(6) for sign in (1, -1)]
+    for key, y in inner:
+        add(key, y)
+    nb = [[[add(*step(key, y, b, sign)) for sign in (1, -1)] for b in range(6)]
+          for key, y in inner]
+    return np.array(points), np.array(nb)
+
+
+@pytest.mark.parametrize("h", [DEFAULT_H, 1e-3, 0.3])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_stencil_matches_sequential_steps(depth, h):
+    """The planned stencil equals, bitwise, the points built by sequential
+    steps, at an x whose coordinates are not dyadic: at each h, x ± 2h·e_a
+    differs from (x ± h) ± h in the last bit on some axis (2.9 at 1e-4 and
+    0.3, 1.7 at 1e-3), and −0.0 must stay −0.0 where no step is taken."""
+    from ma6.fields import _stencil
+
+    x = [0.1, -0.7, 1 / 3, 2.9, 1.7, -0.0]
+    points, nb = _stencil(x, h, depth)
+    want_points, want_nb = reference_stencil(x, h, depth)
+    assert points.tobytes() == want_points.tobytes()
+    assert np.array_equal(nb, want_nb)
 
 
 def test_q_metric_flatness_makes_no_q_form_call(space, monkeypatch):

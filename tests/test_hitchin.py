@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ma6.classify import build_gcy, classify, table1_form
 from ma6.exterior import (
@@ -31,7 +32,7 @@ from ma6.hitchin import (
     split_pair,
     theta_pairing,
 )
-from ma6.symplectic import standard_space
+from ma6.symplectic import _mat_inverse, standard_space
 
 from conftest import rand_form, sheared_float_form
 
@@ -337,3 +338,39 @@ def test_bilinear_batch_matches_call(space, rng):
     assert batch.shape == (100, 20)
     for k, w, row in zip(Ks, forms, batch):
         assert list(row) == list(_derivation_table()(k, w))
+
+
+def _mat_mul(A, B):
+    return [[sum(A[i][k] * B[k][j] for k in range(6)) for j in range(6)] for i in range(6)]
+
+
+def _shear(S, upper):
+    """[[I, S], [0, I]] (upper) or [[I, 0], [S, I]], S symmetric 3x3 given
+    by its upper triangle."""
+    G = [[Fraction(int(i == j)) for j in range(6)] for i in range(6)]
+    for (i, j), c in zip(((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)), S):
+        for a, b in ((i, j), (j, i)):
+            if upper:
+                G[a][3 + b] = c
+            else:
+                G[3 + a][b] = c
+    return G
+
+
+_sym3 = st.lists(st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2)),
+                 min_size=6, max_size=6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(row=st.integers(1, 9), p=st.builds(Fraction, st.integers(1, 3), st.integers(1, 3)),
+       upper=_sym3, lower=_sym3)
+def test_k_is_equivariant_under_symplectic_maps(space, row, p, upper, lower):
+    """K(g*ω) = g⁻¹K(ω)g exactly, g*ω = ω.pullback(g), for g the product
+    of an upper and a lower shear, which has gᵀAg = A, and ω a row of the
+    classification table."""
+    g = _mat_mul(_shear(upper, True), _shear(lower, False))
+    A = space.matrix
+    assert _mat_mul(_mat_mul([list(c) for c in zip(*g)], A), g) == A
+    omega = table1_form(row, p)
+    want = _mat_mul(_mat_mul(_mat_inverse(g), hitchin_k(omega, space)), g)
+    assert hitchin_k(omega.pullback(g), space) == want
