@@ -382,12 +382,13 @@ def test_stencil_checks_match_pointwise_reference(space):
 
 
 def test_pointwise_field_evaluated_once_per_point(space, monkeypatch):
-    """One sample point: each check evaluates the field there and at its 12
-    stencil points, once each, and takes K, λ and the dual form of all 13
-    from the batched tables, one batch for the sample point and one for its
-    stencil: no hitchin_k, pfaffian or dual_form call.  The integrability
-    check differentiates the normalized pair in the same stencil pass
-    instead of running closedness_check."""
+    """One sample point: closedness_check evaluates the field there and at
+    its 12 stencil points, once each, and takes K, λ and the dual form of
+    all 13 from one batch of the tables: no hitchin_k, pfaffian or
+    dual_form call.  gcy_integrability_check, next, on the same field and
+    points, reads the pass the field kept: no evaluation and no K batch,
+    and no closedness_check call.  On a fresh field it makes the pass
+    itself."""
     import sys
 
     import ma6.fields
@@ -422,17 +423,21 @@ def test_pointwise_field_evaluated_once_per_point(space, monkeypatch):
     def no_closedness_check(*args, **kwargs):
         raise AssertionError("closedness_check called")
 
-    monkeypatch.setattr(QuadraticTable, "batch", counting_batch)
-    fld = FormField.from_pointwise(3, fn)
-    pts = sample_box([(-0.5, 0.5)] * 6, 1, seed=3)
-    for check in (closedness_check, gcy_integrability_check):
+    def run(check, fld, evaluations, batches):
         counts.update(field=0, hitchin_k=0, pfaffian=0, dual_form=0)
         k_batches.clear()
         check(fld, space, pts)
-        assert counts == {"field": 13, "hitchin_k": 0, "pfaffian": 0, "dual_form": 0}
-        assert k_batches == [1, 12]
-        # the integrability check, next, must not run closedness_check
-        monkeypatch.setattr(ma6.fields, "closedness_check", no_closedness_check)
+        assert counts == {"field": evaluations, "hitchin_k": 0, "pfaffian": 0,
+                          "dual_form": 0}
+        assert k_batches == batches
+
+    monkeypatch.setattr(QuadraticTable, "batch", counting_batch)
+    fld = FormField.from_pointwise(3, fn)
+    pts = sample_box([(-0.5, 0.5)] * 6, 1, seed=3)
+    run(closedness_check, fld, 13, [13])
+    monkeypatch.setattr(ma6.fields, "closedness_check", no_closedness_check)
+    run(gcy_integrability_check, fld, 0, [])
+    run(gcy_integrability_check, FormField.from_pointwise(3, fn), 13, [13])
 
 
 def test_riemann_evaluates_metric_once_per_stencil_point():
@@ -643,3 +648,222 @@ def test_curvature_matches_loop_reference():
                       for m in range(6)))
         assert R[l, k, i, j] == pytest.approx(want, rel=1e-9, abs=1e-9)
     assert np.abs(R).max() > 1e-2
+
+
+# --- the structure pass against a pass per batch ----------------------------
+
+def reference_pair(fld, s, points):
+    """λ, nω and nω̂ at N points from one batch of the tables; the first
+    point whose λ is not finite or fails the guard raises."""
+    from ma6.fields import _degenerate
+    from ma6.hitchin import _derivation_table
+
+    points = np.asarray(points, dtype=float).reshape(-1, 6)
+    W = fld.batch(points)
+    K = _k_table().batch(W) / float(s.theta.coeffs[0])
+    K3 = K.reshape(-1, 6, 6)
+    lams = np.einsum("nij,nji->n", K3, K3) / 6
+    bad = ~np.isfinite(lams) | _degenerate(lams, np.abs(W).max(axis=1))
+    if bad.any():
+        i = bad.argmax()
+        what = "below threshold" if np.isfinite(lams[i]) else "not finite"
+        raise DegeneratePointError(f"|λ| {what} at {tuple(points[i].tolist())}")
+    r = 1.0 / np.abs(lams) ** 0.25
+    factor = lams / (3 * np.abs(lams) ** 1.5)
+    dual = _derivation_table().batch(K, W) * factor[:, None]
+    return lams, W * r[:, None], dual * r[:, None]
+
+
+def reference_sign_sweep(fld, s, points):
+    """The pair at the sample points, one batch; λ keeps one sign."""
+    lams, n_omega, n_dual = reference_pair(fld, s, points)
+    if len(set((lams > 0).tolist())) != 1:
+        raise BranchChangeError("λ changes sign across the sample region")
+    return lams, n_omega, n_dual
+
+
+def reference_normalized_d(fld, s, x, lam, h):
+    """d(nω) and d(nω̂) at x from a batch of its 12 stencil points alone,
+    each d one vector-matrix product with the incidence."""
+    from ma6.fields import _incidence
+
+    points = np.tile(np.asarray(x, dtype=float), (12, 1))
+    a = np.arange(6)
+    points[2 * a, a] += h
+    points[2 * a + 1, a] -= h
+    lams, n_omega, n_dual = reference_pair(fld, s, points)
+    crossed = (lams > 0) != (lam > 0)
+    if crossed.any():
+        y = tuple(points[crossed.argmax()].tolist())
+        raise BranchChangeError(
+            f"λ changes sign between the sample point {tuple(x)} and its "
+            f"stencil point {y}")
+    return tuple(((F[0::2] - F[1::2]) * (1.0 / (2 * h))).reshape(-1) @ _incidence(3)
+                 for F in (n_omega, n_dual))
+
+
+def reference_checks(fld, s, points, h=DEFAULT_H, tol=DEFAULT_TOL):
+    """The two checks' reports from a pass on the sample points and one
+    pass per stencil."""
+    from ma6.fields import CheckReport
+    from ma6.hitchin import _pieces_pairing, theta_pairing
+
+    lams, n_omega, n_dual = reference_sign_sweep(fld, s, points)
+    ds = [reference_normalized_d(fld, s, x, lam, h) for x, lam in zip(points, lams)]
+    dn, dd = zip(*ds)
+    res_n, res_d = float(np.abs(dn).max()), float(np.abs(dd).max())
+    worst = max(res_n, res_d)
+    closed_report = CheckReport(passed=worst <= tol, max_residual=worst,
+                                n_points=len(points), tol=tol,
+                                details={"normalized": res_n, "dual": res_d})
+    res = res_closed = 0.0
+    ratios = []
+    for lam, nw, nd, (dn, dd) in zip(lams, n_omega, n_dual, ds):
+        res_closed = max(res_closed, float(np.abs(dn).max()), float(np.abs(dd).max()))
+        if lam > 0:
+            d_pieces = max(np.abs(dn + dd).max(), np.abs(dn - dd).max())
+        else:
+            d_pieces = np.abs(dn + 1j * dd).max()
+        res = max(res, float(d_pieces) / 2)
+        t = theta_pairing(KForm(3, nd.tolist()), KForm(3, nw.tolist()), s)
+        ratios.append(complex(_pieces_pairing(t, lam, False)) / -6)
+    ratio_dev = max(abs(r - ratios[0]) for r in ratios)
+    integrable = res <= tol and ratio_dev <= tol
+    closed = res_closed <= tol
+    return closed_report, CheckReport(
+        passed=integrable, max_residual=res, n_points=len(points), tol=tol,
+        details={"ratio_deviation": ratio_dev, "ratio": ratios[0],
+                 "closedness_residual": res_closed, "closedness_passed": closed,
+                 "agrees_with_closedness": closed == integrable})
+
+
+def _dense(x):
+    """A field with every coefficient in play, so that K and λ sum products
+    that round: the summation order of each shows."""
+    row1 = KForm(3, [float(c) for c in table1_form(1, 1).coeffs])
+    return row1 + KForm(3, [math.sin(0.3 * i + x[i % 6]) * (1 + 0.1 * x[(i + 1) % 6] ** 2)
+                            for i in range(20)])
+
+
+def _structure_fields():
+    coeff = {"0,0,0,0,0,0": "1", "2,0,0,0,0,0": "3/2", "0,0,0,0,2,0": "1/7",
+             "1,1,0,0,0,1": "2/3"}
+    poly = parse_field({"version": 1, "scalar": "exact", "grade": 3,
+                        "coefficients": {"123": coeff, "456": coeff,
+                                         "124": {"0,0,1,0,0,0": "1/5"}}})
+    return [f for f, _ in _criterion_11_fields()] + [poly, FormField.from_pointwise(3, _dense)]
+
+
+def _outcome(checks, *args, **kwargs):
+    """The repr of a check's reports, or the type and message it raised."""
+    try:
+        return repr(checks(*args, **kwargs))
+    except ValueError as e:
+        return type(e).__name__, str(e)
+
+
+def _both_checks(fld, s, points, h):
+    return closedness_check(fld, s, points, h=h), gcy_integrability_check(fld, s, points, h=h)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_structure_pass_matches_pass_per_batch(space, n):
+    """Both checks equal, bitwise (by repr), the reports of a pass on the
+    sample points and one per stencil, on constant, conformal, non-closed,
+    polynomial and dense fields, at h = 1e-4 and 1e-3; where the reference
+    raises, they raise the same.  At n = 1 the dense field's λ at the
+    sample point is summed in the order of a lone row, which shows in the
+    ratio's last bit."""
+    pts = sample_box([(-0.5, 0.5)] * 6, n, seed=n + 1)
+    reports = 0
+    for fld, ref in zip(_structure_fields(), _structure_fields()):
+        for h in (DEFAULT_H, 1e-3):
+            want = _outcome(reference_checks, ref, space, pts, h=h)
+            assert _outcome(_both_checks, fld, space, pts, h) == want
+            reports += isinstance(want, str)
+    assert reports >= 12
+
+
+def test_structure_pass_kept_for_one_key(space):
+    """The field keeps one pass, for its space (by identity), h and float64
+    points: the same three read it, any other recomputes, a kept report
+    equals a fresh field's, and a failed pass is not kept."""
+    from ma6.symplectic import SymplecticSpace
+
+    calls = []
+
+    def fn(x):
+        calls.append(tuple(x))
+        return _dense(x)
+
+    def evaluations(check, fld, s, pts, h=DEFAULT_H):
+        calls.clear()
+        report = check(fld, s, pts, h=h)
+        fresh = check(FormField.from_pointwise(3, _dense), s, pts, h=h)
+        assert repr(report) == repr(fresh)
+        return len(calls)
+
+    fld = FormField.from_pointwise(3, fn)
+    pts = sample_box([(-0.5, 0.5)] * 6, 2, seed=1)
+    assert evaluations(closedness_check, fld, space, pts) == 26
+    assert evaluations(gcy_integrability_check, fld, space, pts) == 0
+    assert evaluations(closedness_check, fld, space, np.array(pts)) == 0
+    assert evaluations(closedness_check, fld, space, pts, h=1e-3) == 26
+    assert evaluations(closedness_check, fld, space, pts[:1]) == 13
+    twice = SymplecticSpace(space.omega * 2)
+    assert evaluations(gcy_integrability_check, fld, twice, pts[:1]) == 13
+    assert evaluations(gcy_integrability_check, fld, space, pts[:1]) == 13
+    sets = [sample_box([(-0.5, 0.5)] * 6, 2, seed=seed) for seed in range(5)]
+    for p in sets:
+        assert evaluations(closedness_check, fld, space, p) == 26
+    assert evaluations(closedness_check, fld, space, sets[-1]) == 0
+    assert evaluations(closedness_check, fld, space, sets[0]) == 26
+    branch = _branch_field()
+    for _ in range(2):
+        with pytest.raises(BranchChangeError, match=r"sample point \(5e-05, 0, 0"):
+            gcy_integrability_check(branch, space, [[5e-5, 0, 0, 0, 0, 0]])
+
+
+def _nan_branch_field():
+    """_branch_field with a NaN coefficient on e123 where q2 > 0.3."""
+    branch = _branch_field()
+
+    def fn(x):
+        omega = branch.evaluate(x)
+        return omega + KForm.basis(1, 2, 3, scale=math.nan) if x[1] > 0.3 else omega
+
+    return FormField.from_pointwise(3, fn)
+
+
+_STENCIL_CROSSING = ("λ changes sign between the sample point (5e-05, 0, 0, 0, 0, 0) "
+                     "and its stencil point (-5e-05, 0.0, 0.0, 0.0, 0.0, 0.0)")
+
+
+@pytest.mark.parametrize("check", [closedness_check, gcy_integrability_check])
+@pytest.mark.parametrize("make, points, error, message", [
+    # λ = −4q1 changes sign across the sample points
+    (_branch_field, [[-1, 0, 0, 0, 0, 0], [0.5, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]],
+     BranchChangeError, "λ changes sign across the sample region"),
+    # the second point's stencil crosses q1 = 0
+    (_branch_field, [[1, 0, 0, 0, 0, 0], [5e-5, 0, 0, 0, 0, 0]],
+     BranchChangeError, _STENCIL_CROSSING),
+    # the second sample point is degenerate, the third on the other branch
+    (_branch_field, [[0.5, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0], [-1, 0, 0, 0, 0, 0]],
+     DegeneratePointError, "|λ| below threshold at (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)"),
+    # the third point's stencil point q1 − h has λ = 0
+    (_branch_field, [[0.5, 0, 0, 0, 0, 0], [0.7, 0.1, 0, 0, 0, 0], [1e-4, 0.2, 0, 0, 0, 0]],
+     DegeneratePointError, "|λ| below threshold at (0.0, 0.2, 0.0, 0.0, 0.0, 0.0)"),
+    # the second point's stencil point q2 + h has a NaN coefficient
+    (_nan_branch_field, [[0.5, 0, 0, 0, 0, 0], [0.5, 0.3 - 5e-5, 0, 0, 0, 0]],
+     DegeneratePointError, "|λ| not finite at (0.5, 0.30005, 0.0, 0.0, 0.0, 0.0)"),
+    # the first point's stencil crosses before the second's reaches λ = 0
+    (_branch_field, [[5e-5, 0, 0, 0, 0, 0], [1e-4, 0, 0, 0, 0, 0], [0.3, 0, 0, 0, 0, 0]],
+     BranchChangeError, _STENCIL_CROSSING),
+])
+def test_structure_pass_error_order(space, check, make, points, error, message):
+    """The first error of a sample-point pass followed by one stencil pass
+    per point: its type and message, pinned."""
+    with pytest.raises(error) as info:
+        check(make(), space, points)
+    assert type(info.value) is error
+    assert str(info.value) == message
