@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exterior import DIM, KForm, _all_rational, _cleared
+from .exterior import DIM, POS, KForm, _all_rational, _cleared, _kform, dim_grade
 from .symplectic import EffectivenessError, is_effective
 from .hitchin import (
     DegenerateFormError,
@@ -59,6 +59,23 @@ class InvariantReport:
 RANK1_LAPLACE_SIGN = (0, 1)  # computed inertia of the 2D-Laplace normal form
 
 
+# each row's terms (index, sign, scale), the scale 1, p² or p⁴/4 named by
+# the power of p it carries
+_TABLE1_TERMS = {
+    1: (((1, 2, 3), 1, 0), ((4, 5, 6), 1, 2)),
+    2: (((2, 3, 4), 1, 0), ((1, 3, 5), -1, 0), ((1, 2, 6), 1, 0), ((4, 5, 6), -1, 4)),
+    3: (((2, 3, 4), 1, 0), ((1, 3, 5), 1, 0), ((1, 2, 6), 1, 0), ((4, 5, 6), 1, 4)),
+    4: (((2, 3, 4), 1, 0), ((1, 3, 5), -1, 0), ((1, 2, 6), 1, 0)),
+    5: (((2, 3, 4), 1, 0), ((1, 3, 5), 1, 0), ((1, 2, 6), 1, 0)),
+    6: (((1, 2, 6), 1, 0), ((1, 3, 5), -1, 0)),
+    7: (((1, 2, 6), 1, 0), ((1, 3, 5), 1, 0)),
+    8: (((2, 3, 4), 1, 0),),
+    9: (),
+}
+_TABLE1_SLOTS = {row: tuple((POS[3][idx], sign, power) for idx, sign, power in terms)
+                 for row, terms in _TABLE1_TERMS.items()}
+
+
 def table1_form(row, param=Fraction(1)):
     """Normal form of the given classification-table row (1..9).
 
@@ -68,34 +85,21 @@ def table1_form(row, param=Fraction(1)):
     forms carry γ resp. ν², whose literal pfaffians are γ² resp. −4ν⁴; this
     reparametrization keeps the same orbits while making the table's λ
     column hold exactly.)
+
+    The scale 1 is p − p + 1, in p's type; a minus term stores 0 − v, so the
+    coefficients are those of the sum of signed basis forms, signed zeros
+    included.  Unused coefficients are the int 0.
     """
     p = Fraction(param) if not isinstance(param, float) else param
-    one = p - p + 1  # scalar 1 in param's type
-    if row == 1:
-        return KForm.basis(1, 2, 3, scale=one) + KForm.basis(4, 5, 6, scale=p * p)
-    if row == 2:
-        return (KForm.basis(2, 3, 4, scale=one) - KForm.basis(1, 3, 5, scale=one)
-                + KForm.basis(1, 2, 6, scale=one)
-                - KForm.basis(4, 5, 6, scale=p ** 4 / 4))
-    if row == 3:
-        return (KForm.basis(2, 3, 4, scale=one) + KForm.basis(1, 3, 5, scale=one)
-                + KForm.basis(1, 2, 6, scale=one)
-                + KForm.basis(4, 5, 6, scale=p ** 4 / 4))
-    if row == 4:
-        return (KForm.basis(2, 3, 4, scale=one) - KForm.basis(1, 3, 5, scale=one)
-                + KForm.basis(1, 2, 6, scale=one))
-    if row == 5:
-        return (KForm.basis(2, 3, 4, scale=one) + KForm.basis(1, 3, 5, scale=one)
-                + KForm.basis(1, 2, 6, scale=one))
-    if row == 6:
-        return KForm.basis(1, 2, 6, scale=one) - KForm.basis(1, 3, 5, scale=one)
-    if row == 7:
-        return KForm.basis(1, 2, 6, scale=one) + KForm.basis(1, 3, 5, scale=one)
-    if row == 8:
-        return KForm.basis(2, 3, 4, scale=one)
-    if row == 9:
-        return KForm.zero(3)
-    raise ValueError(f"no table row {row}")
+    slots = _TABLE1_SLOTS.get(row)
+    if slots is None:
+        raise ValueError(f"no table row {row}")
+    one = p - p + 1
+    coeffs = [0] * dim_grade(3)
+    for pos, sign, power in slots:
+        v = one if power == 0 else p * p if power == 2 else p ** 4 / 4
+        coeffs[pos] = v if sign > 0 else 0 - v
+    return _kform(3, tuple(coeffs))
 
 
 TABLE1_CLASSES = {

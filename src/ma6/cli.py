@@ -1,7 +1,8 @@
 """Command-line interface: classify, split, check-solution, check-structure,
 and demo subcommands over the JSON form/field documents.
 
-Exit codes: 0 pass, 1 check failed, 2 invalid input, 3 non-effective form,
+Exit codes: 0 pass, 1 check failed, 2 invalid input (also a coefficient
+above FLOAT_COEFF_MAX that is computed in floats), 3 non-effective form,
 4 degenerate form (or a float form too near an orbit boundary to classify).
 """
 
@@ -50,6 +51,7 @@ from .hitchin import (
     _split,
     hitchin_k,
 )
+from .poly import Poly
 from .symplectic import EffectivenessError, project_effective, standard_space
 
 EXIT_PASS = 0
@@ -82,6 +84,20 @@ def _require_3form(obj):
     return obj
 
 
+# the largest |coefficient| that float arithmetic is given: the dual form's
+# |λ|^(3/2) is of degree 6 in ω, so up to 1e50 every float invariant stays
+# below 1e300, short of the float maximum 1.8e308
+FLOAT_COEFF_MAX = 1e50
+
+
+def _check_float_range(values):
+    """Coefficients bound for float arithmetic must be at most FLOAT_COEFF_MAX
+    in magnitude; a larger one is invalid input."""
+    if any(abs(v) > FLOAT_COEFF_MAX for v in values):
+        raise CliError(EXIT_INVALID, f"a coefficient exceeds {FLOAT_COEFF_MAX:g} in "
+                                     "magnitude, the bound for float arithmetic")
+
+
 def _load_form(args):
     doc = _read_doc(args.input)
     try:
@@ -94,18 +110,25 @@ def _load_form(args):
             form = KForm(form.grade, [float(c) for c in form.coeffs])
         except OverflowError as e:
             raise CliError(EXIT_INVALID, f"coefficient too large for a float: {e}")
+    if any(isinstance(c, float) for c in form.coeffs):
+        _check_float_range(form.coeffs)
     return form
 
 
 def _load_field(path):
-    """A 3-form field document, or a form document read as a constant field."""
+    """A 3-form field document, or a form document read as a constant field.
+    A field is evaluated in floats, so its constants and polynomial
+    coefficients are held to FLOAT_COEFF_MAX."""
     doc = _read_doc(path)
     try:
         fld = (parse_field(doc) if is_field_document(doc)
                else FormField.constant(parse_form(doc)))
     except DocumentError as e:
         raise CliError(EXIT_INVALID, str(e))
-    return _require_3form(fld)
+    _require_3form(fld)
+    _check_float_range(v for c in fld.coeffs
+                       for v in (c.terms.values() if isinstance(c, Poly) else (c,)))
+    return fld
 
 
 def _parse_box(text, dims):

@@ -39,9 +39,13 @@ def _parse_scalar(v, mode):
             raise DocumentError(f"bad rational {v!r}") from e
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise DocumentError(f"float mode needs numbers, got {v!r}")
+    try:
+        v = float(v)
+    except OverflowError as e:
+        raise DocumentError(f"float mode number too large for a float: {e}") from e
     if not math.isfinite(v):
         raise DocumentError(f"float mode needs finite numbers, got {v!r}")
-    return float(v)
+    return v
 
 
 def _emit_scalar(v, mode):
@@ -59,26 +63,32 @@ def _parse_index(key, grade):
     return idx
 
 
-def _check_keys(doc, allowed, what):
-    extra = set(doc) - allowed
+_KEYS = {"version", "scalar", "grade", "coefficients"}
+
+
+def _check_header(doc, what):
+    """The keys, the version and the grade of a form or field document;
+    returns the grade."""
+    if not isinstance(doc, dict):
+        raise DocumentError(f"{what} must be an object")
+    extra = set(doc) - _KEYS
     if extra:
         raise DocumentError(f"unknown keys in {what}: {sorted(extra)}")
+    version = doc.get("version", VERSION)
+    if type(version) is not int or version != VERSION:
+        raise DocumentError(f"unsupported version {version!r}")
+    grade = doc.get("grade")
+    if type(grade) is not int or not 0 <= grade <= DIM:
+        raise DocumentError(f"grade must be 0..6, got {grade!r}")
+    return grade
 
 
 def parse_form(doc):
     """FormDocument -> KForm."""
-    if not isinstance(doc, dict):
-        raise DocumentError("form document must be an object")
-    _check_keys(doc, {"version", "scalar", "grade", "coefficients", "symplectic"},
-                "form document")
-    if doc.get("version", VERSION) != VERSION:
-        raise DocumentError(f"unsupported version {doc.get('version')!r}")
+    grade = _check_header(doc, "form document")
     mode = doc.get("scalar", "exact")
     if mode not in ("exact", "float"):
         raise DocumentError(f"scalar mode must be 'exact' or 'float', got {mode!r}")
-    grade = doc.get("grade")
-    if grade not in range(DIM + 1):
-        raise DocumentError(f"grade must be 0..6, got {grade!r}")
     coeffs = [Fraction(0) if mode == "exact" else 0.0] * dim_grade(grade)
     cmap = doc.get("coefficients", {})
     if not isinstance(cmap, dict):
@@ -126,15 +136,10 @@ def _emit_poly(p):
 
 def parse_field(doc):
     """Field document (polynomial coefficients) -> FormField."""
-    if not isinstance(doc, dict):
-        raise DocumentError("field document must be an object")
-    _check_keys(doc, {"version", "scalar", "grade", "coefficients", "symplectic"},
-                "field document")
-    if doc.get("version", VERSION) != VERSION:
-        raise DocumentError(f"unsupported version {doc.get('version')!r}")
-    grade = doc.get("grade")
-    if grade not in range(DIM + 1):
-        raise DocumentError(f"grade must be 0..6, got {grade!r}")
+    grade = _check_header(doc, "field document")
+    mode = doc.get("scalar", "exact")
+    if mode != "exact":
+        raise DocumentError(f"field documents hold rational polynomials, got scalar {mode!r}")
     coeffs = [Poly({})] * dim_grade(grade)
     cmap = doc.get("coefficients", {})
     if not isinstance(cmap, dict):

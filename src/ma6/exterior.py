@@ -4,7 +4,15 @@ Coefficients are ordinary Python scalars: ``fractions.Fraction`` for exact
 work, ``float`` for numerics, ``complex``/``ExactComplex`` for the elliptic
 branch.  All values are immutable; every operation is a pure function.
 wedge, i_X and i_B are each one ``QuadraticTable`` per grade (pair), whose
-call picks the arithmetic for the scalar type.
+call picks the arithmetic for the scalar type; ``KForm.pullback`` takes
+rational input in ints and other input by the generic sum of minors.
+
+Pointwise form fields call their function, and so ``KForm.basis`` and the
+linear operations, about a hundred times per sample point of a field
+check.  ``basis`` reads its position and sign from one cached slot per
+index tuple, and ``basis``, ``+``, ``-``, unary ``-``, ``*`` and ``/`` build
+their coefficient tuple in one pass and the form through ``_kform``,
+without the checks of the public ``KForm(grade, coeffs)``.
 
 Basis covectors are indexed 1..6 and identified with the Darboux
 coordinates (q1, q2, q3, p1, p2, p3).
@@ -14,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -75,14 +84,8 @@ class KForm:
     @classmethod
     def basis(cls, *indices, scale=1):
         """The basis form e_{i1}* ∧ ... ∧ e_{ik}* (indices need not be sorted)."""
-        k = len(indices)
-        if len(set(indices)) != k:
-            return cls.zero(k)
-        sign = perm_sign_sort(indices)
-        key = tuple(sorted(indices))
-        c = [0] * dim_grade(k)
-        c[POS[k][key]] = sign * scale
-        return cls(k, c)
+        k, head, sign, tail = _basis_slot(indices)
+        return _kform(k, head + (sign * scale,) + tail if sign else head)
 
     def __getitem__(self, idx):
         return self.coeffs[POS[self.grade][tuple(idx)]]
@@ -90,23 +93,23 @@ class KForm:
     def __add__(self, other):
         if self.grade != other.grade:
             raise GradeError("cannot add forms of different grade")
-        return KForm(self.grade, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _kform(self.grade, tuple(map(operator.add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         if self.grade != other.grade:
             raise GradeError("cannot subtract forms of different grade")
-        return KForm(self.grade, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return _kform(self.grade, tuple(map(operator.sub, self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        return KForm(self.grade, tuple(-a for a in self.coeffs))
+        return _kform(self.grade, tuple(map(operator.neg, self.coeffs)))
 
     def __mul__(self, s):
-        return KForm(self.grade, tuple(a * s for a in self.coeffs))
+        return _kform(self.grade, tuple(map(operator.mul, self.coeffs, itertools.repeat(s))))
 
     __rmul__ = __mul__
 
     def __truediv__(self, s):
-        return KForm(self.grade, tuple(a / s for a in self.coeffs))
+        return _kform(self.grade, tuple(map(operator.truediv, self.coeffs, itertools.repeat(s))))
 
     def __eq__(self, other):
         return (
@@ -152,21 +155,27 @@ class KForm:
         ``matrix`` maps a source space of dimension m = len(matrix[0]) into V;
         the result is a k-form on the source (m must be 6 for a KForm result,
         smaller sources return the dense coefficient list over that space).
+        Rational input (every coefficient and entry an int or a Fraction)
+        is pulled back in ints, `_pullback_rational`; other input by the
+        generic sum of c·(k×k minor) over the nonzero coefficients.
         """
         k = self.grade
         m = len(matrix[0])
         out_combs = list(itertools.combinations(range(m), k))
-        out = []
-        for J in out_combs:
-            acc = 0
-            for idx, c in zip(COMBS[k], self.coeffs):
-                if c == 0:
-                    continue
-                sub = [[matrix[i - 1][j] for j in J] for i in idx]
-                acc = acc + c * _det(sub)
-            out.append(acc)
+        if _all_rational(self.coeffs) and all(_all_rational(row) for row in matrix):
+            out = _pullback_rational(self.coeffs, k, matrix, out_combs)
+        else:
+            out = []
+            for J in out_combs:
+                acc = 0
+                for idx, c in zip(COMBS[k], self.coeffs):
+                    if c == 0:
+                        continue
+                    sub = [[matrix[i - 1][j] for j in J] for i in idx]
+                    acc = acc + c * _det(sub)
+                out.append(acc)
         if m == DIM:
-            return KForm(k, out)
+            return _kform(k, tuple(out))
         return out
 
     def __repr__(self):
@@ -186,6 +195,33 @@ def perm_sign_sort(seq):
             if seq[i] > seq[j]:
                 sign = -sign
     return sign
+
+
+_set_grade = KForm.grade.__set__
+_set_coeffs = KForm.coeffs.__set__
+
+
+def _kform(grade, coeffs):
+    """A KForm of a coefficient tuple that already has the grade's length,
+    made without the checks of ``KForm(grade, coeffs)``."""
+    form = object.__new__(KForm)
+    _set_grade(form, grade)
+    _set_coeffs(form, coeffs)
+    return form
+
+
+@lru_cache(maxsize=None)
+def _basis_slot(indices):
+    """(k, head, sign, tail) for the basis form of an index tuple: its
+    coefficients are head + (sign·scale,) + tail, zero tuples around the
+    sorted tuple's position, or, when an index repeats, sign = 0 and head
+    is the whole zero tuple."""
+    k = len(indices)
+    zeros = (0,) * dim_grade(k)
+    if len(set(indices)) != k:
+        return k, zeros, 0, None
+    pos = POS[k][tuple(sorted(indices))]
+    return k, zeros[:pos], perm_sign_sort(indices), zeros[pos + 1:]
 
 
 def _det(rows):
@@ -208,6 +244,33 @@ def _det(rows):
             term = term * rows[r][c]
         total = total + term
     return total
+
+
+def _pullback_rational(coeffs, k, matrix, out_combs):
+    """The coefficients of a rational pullback, as the generic sum gives
+    them: the denominators of the nonzero coefficients and of the matrix
+    are cleared once, each k×k minor is taken in ints, and one Fraction is
+    made per output coefficient.  An output is a Fraction when a Fraction
+    enters its sum (a nonzero coefficient, or an entry of a row of a
+    nonzero coefficient's index in one of its columns) and an int
+    otherwise."""
+    terms = [(idx, c) for idx, c in zip(COMBS[k], coeffs) if c != 0]
+    if not terms:
+        return [0] * len(out_combs)
+    dc, nc = _cleared([c for _, c in terms])
+    dm = math.lcm(*(a.denominator for row in matrix for a in row))
+    rows = [[a.numerator * (dm // a.denominator) for a in row] for row in matrix]
+    m = len(matrix[0])
+    den = dc * dm ** k
+    all_frac = any(isinstance(c, Fraction) for _, c in terms)
+    used = {i - 1 for idx, _ in terms for i in idx}
+    frac = {j for i in used for j in range(m) if isinstance(matrix[i][j], Fraction)}
+    subs = [([rows[i - 1] for i in idx], n) for (idx, _), n in zip(terms, nc)]
+    out = []
+    for J in out_combs:
+        num = sum(n * _det([[r[j] for j in J] for r in R]) for R, n in subs)
+        out.append(Fraction(num, den) if all_frac or frac.intersection(J) else num // den)
+    return out
 
 
 def wedge(a, b):

@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
-from ma6.exterior import COMBS, DIM, POS, KForm, dim_grade, merge_sign
+from ma6.exterior import COMBS, DIM, POS, KForm, _det, dim_grade, merge_sign
 from ma6.lr import Signature
 from ma6.symplectic import SymplecticSpace, _mat_inverse, project_effective, standard_space
 
@@ -147,6 +148,69 @@ def reference_interior_bivector(B, omega):
         ej = [int(n == j) for n in range(1, DIM + 1)]
         out = out + c * reference_interior_vector(ej, reference_interior_vector(ei, omega))
     return out
+
+
+def reference_basis(*indices, scale=1):
+    """The coefficient tuple of a basis form, built as a dense list."""
+    k = len(indices)
+    c = [0] * dim_grade(k)
+    if len(set(indices)) == k:
+        sign = 1
+        for i in range(k):
+            for j in range(i + 1, k):
+                if indices[i] > indices[j]:
+                    sign = -sign
+        c[POS[k][tuple(sorted(indices))]] = sign * scale
+    return tuple(c)
+
+
+def reference_table1_form(row, param=Fraction(1)):
+    """The coefficients of a table row as a chain of dense basis tuples
+    added and subtracted term by term."""
+    p = Fraction(param) if not isinstance(param, float) else param
+    one = p - p + 1
+
+    def b(*idx, scale):
+        return reference_basis(*idx, scale=scale)
+
+    def add(u, v):
+        return tuple(x + y for x, y in zip(u, v))
+
+    def sub(u, v):
+        return tuple(x - y for x, y in zip(u, v))
+
+    chains = {
+        1: lambda: add(b(1, 2, 3, scale=one), b(4, 5, 6, scale=p * p)),
+        2: lambda: sub(add(sub(b(2, 3, 4, scale=one), b(1, 3, 5, scale=one)),
+                           b(1, 2, 6, scale=one)), b(4, 5, 6, scale=p ** 4 / 4)),
+        3: lambda: add(add(add(b(2, 3, 4, scale=one), b(1, 3, 5, scale=one)),
+                           b(1, 2, 6, scale=one)), b(4, 5, 6, scale=p ** 4 / 4)),
+        4: lambda: add(sub(b(2, 3, 4, scale=one), b(1, 3, 5, scale=one)),
+                       b(1, 2, 6, scale=one)),
+        5: lambda: add(add(b(2, 3, 4, scale=one), b(1, 3, 5, scale=one)),
+                       b(1, 2, 6, scale=one)),
+        6: lambda: sub(b(1, 2, 6, scale=one), b(1, 3, 5, scale=one)),
+        7: lambda: add(b(1, 2, 6, scale=one), b(1, 3, 5, scale=one)),
+        8: lambda: b(2, 3, 4, scale=one),
+        9: lambda: (0,) * dim_grade(3),
+    }
+    return KForm(3, chains[row]())
+
+
+def reference_pullback(form, matrix):
+    """φ*ω by the generic loop: the sum of c·(k×k minor) over the nonzero
+    coefficients; a KForm for a 6-column matrix, the coefficient list
+    otherwise."""
+    k, m = form.grade, len(matrix[0])
+    out = []
+    for J in itertools.combinations(range(m), k):
+        acc = 0
+        for idx, c in zip(COMBS[k], form.coeffs):
+            if c == 0:
+                continue
+            acc = acc + c * _det([[matrix[i - 1][j] for j in J] for i in idx])
+        out.append(acc)
+    return KForm(k, out) if m == DIM else out
 
 
 def rand_fraction(rng, num=6, den=4):

@@ -38,6 +38,8 @@ from ma6.hitchin import (
 from ma6.lr import in_sp3, q_form
 from ma6.symplectic import EffectivenessError, bot, is_effective, project_effective
 
+from conftest import reference_table1_form
+
 from conftest import darboux_map, rand_fraction, reference_signature
 
 PARAMS = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]
@@ -418,3 +420,33 @@ def test_lambda_zero_rule_margin(space):
         err = abs(pfaffian(f, space) - float(expected_lambda(row, p)))
         worst = max(worst, err / (1 + f.max_abs()) ** 4)
     assert worst * 10 ** 3 <= LAMBDA_ZERO_TOL
+
+
+TABLE1_PARAMS = (1, Fraction(3, 2), 2, 0, Fraction(-1, 3), 1.5, 0.0, -2.0)
+
+
+@pytest.mark.parametrize("row", range(1, 10))
+def test_table1_form_matches_basis_chain(row):
+    """Each coefficient of a table row has the value, type and repr (signed
+    zeros included) of the chain of basis forms it replaces."""
+    for p in TABLE1_PARAMS:
+        got, want = table1_form(row, p), reference_table1_form(row, p)
+        assert got.grade == 3
+        assert [(type(c), repr(c)) for c in got.coeffs] == \
+            [(type(c), repr(c)) for c in want.coeffs], (row, p)
+
+
+def test_table1_form_builds_no_chain(monkeypatch):
+    """A table row is filled from the data table in one pass: no basis
+    form is built and no two forms are added or subtracted."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("table1_form built a chain of forms")
+
+    monkeypatch.setattr(KForm, "basis", forbidden)
+    monkeypatch.setattr(KForm, "__add__", forbidden)
+    monkeypatch.setattr(KForm, "__sub__", forbidden)
+    for row in range(1, 10):
+        for p in TABLE1_PARAMS:
+            table1_form(row, p)
+    with pytest.raises(ValueError):
+        table1_form(10)

@@ -5,10 +5,11 @@ import json
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ma6 import cli
 from ma6.casestudies import cs_form
@@ -21,7 +22,7 @@ from ma6.documents import (
     serialize_field,
     serialize_form,
 )
-from ma6.exterior import KForm
+from ma6.exterior import COMBS, KForm
 from ma6.fields import FormField
 from ma6.poly import Poly
 
@@ -51,6 +52,26 @@ def test_rational_strings():
 def test_unknown_keys_rejected():
     with pytest.raises(DocumentError):
         parse_form({"version": 1, "grade": 3, "coefficients": {}, "extra": 1})
+
+
+def test_symplectic_key_rejected():
+    """Documents carry no symplectic form: Ω is the standard one, so a
+    document naming its own is invalid input, not classified on Ω₀.  A
+    field document's scalar mode, when given, must be "exact"."""
+    doc = {"version": 1, "scalar": "exact", "grade": 3,
+           "coefficients": {"123": "1", "456": "1"}, "symplectic": [1]}
+    with pytest.raises(DocumentError, match="symplectic"):
+        parse_form(doc)
+    field = dict(doc, coefficients={"123": {"0,0,0,0,0,0": "1"}})
+    with pytest.raises(DocumentError, match="symplectic"):
+        parse_field(field)
+    del field["symplectic"]
+    for mode in ("float", ["exact"]):
+        with pytest.raises(DocumentError, match="scalar"):
+            parse_field(dict(field, scalar=mode))
+    for cmd in ("classify", "split"):
+        code, out = run_cli([cmd], stdin_text=json.dumps(doc))
+        assert (code, out) == (2, "")
 
 
 def test_bad_indices_rejected():
@@ -422,3 +443,76 @@ def test_cli_split_builds_k_twice(monkeypatch):
             assert len(calls) <= 2, (row, p)
             if code == 0 and "structure" in json.loads(out):
                 assert len(calls) == 2
+
+
+# --- malformed form documents: exit 2 or 4, never a traceback
+
+_VALID_INDICES = {"".join(map(str, c)) for c in COMBS[3]}
+_json_leaf = st.one_of(st.none(), st.booleans(), st.integers(-10 ** 30, 10 ** 30),
+                       st.floats(), st.text(max_size=6))
+_json_value = st.recursive(
+    _json_leaf, lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                        st.dictionaries(st.text(max_size=4), inner,
+                                                        max_size=3)),
+    max_leaves=6)
+_huge = st.one_of(st.floats(min_value=1.01e50, allow_infinity=False),
+                  st.floats(max_value=-1.01e50, allow_infinity=False),
+                  st.integers(min_value=10 ** 309, max_value=10 ** 400))
+_non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
+@st.composite
+def _malformed_form_doc(draw):
+    """(argv, document): a valid row-2 document in exact or float mode
+    with one defect: a random value at one key, a bad index string, a bool
+    coefficient, or a huge or non-finite number."""
+    mode = draw(st.sampled_from(("exact", "float")))
+    scalar = draw(st.sampled_from(("exact", "float")))
+    argv = [draw(st.sampled_from(("classify", "split"))), "--scalar", scalar]
+    one = "1" if mode == "exact" else 1.0
+    doc = {"version": 1, "scalar": mode, "grade": 3,
+           "coefficients": {"234": one, "135": one, "126": one, "456": one}}
+    defect = draw(st.sampled_from(("key", "index", "bool", "huge", "non-finite")))
+    coeffs = doc["coefficients"]
+    key = draw(st.sampled_from(sorted(coeffs)))
+    if defect == "key":
+        name = draw(st.sampled_from(("version", "scalar", "grade", "coefficients",
+                                     "symplectic", "extra")))
+        valid = {"version": lambda v: type(v) is int and v == 1,
+                 "scalar": lambda v: v == mode,
+                 "grade": lambda v: type(v) is int and v == 3,
+                 "coefficients": lambda v: isinstance(v, dict)
+                 and all(k in _VALID_INDICES for k in v)}.get(
+                     name, lambda v: False)
+        doc[name] = draw(_json_value.filter(lambda v: not valid(v)))
+    elif defect == "index":
+        bad = draw(st.text(max_size=5).filter(lambda k: k not in _VALID_INDICES))
+        coeffs[bad] = one
+    elif defect == "bool":
+        coeffs[key] = draw(st.booleans())
+    elif defect == "huge":
+        value = draw(_huge)
+        if mode == "exact":
+            # an exact huge value is only out of range for float arithmetic
+            argv[2] = "float"
+            value = str(Fraction(value))
+        coeffs[key] = value
+    else:
+        value = draw(_non_finite)
+        coeffs[key] = value if mode == "float" else draw(st.sampled_from((value, str(value))))
+    return argv, doc
+
+
+@given(_malformed_form_doc())
+@settings(max_examples=300, deadline=None)
+def test_cli_malformed_form_documents_exit_2_or_4(case):
+    """`ma6 classify` and `ma6 split`, run in-process on a malformed
+    document, exit 2 (or 4) with a message on stderr and no traceback."""
+    argv, doc = case
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(argv, stdin_text=json.dumps(doc))
+    assert code in (2, 4), (argv, doc, out)
+    assert out == ""
+    assert err.getvalue().startswith("error: ")
+    assert "Traceback" not in err.getvalue()

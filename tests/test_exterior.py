@@ -30,8 +30,10 @@ from ma6.hitchin import _derivation_table, _k_table
 from conftest import (
     rand_form,
     rand_vector,
+    reference_basis,
     reference_interior_bivector,
     reference_interior_vector,
+    reference_pullback,
     reference_wedge,
 )
 
@@ -235,6 +237,91 @@ def test_pullback_is_precomposition(rng):
     AX = [sum(A[i][j] * X[j] for j in range(6)) for i in range(6)]
     AY = [sum(A[i][j] * Y[j] for j in range(6)) for i in range(6)]
     assert form.pullback(A).evaluate(X, Y) == form.evaluate(AX, AY)
+
+
+def typed(values):
+    """Values with their types, so that 1 ≠ 1.0 ≠ Fraction(1) and -0.0 ≠ 0.0."""
+    return [(type(v), repr(v)) for v in values]
+
+
+def test_basis_matches_reference():
+    """Every ordered index tuple of grades 0–6, repeats included, gives the
+    coefficients, their types and signed zeros of the dense construction."""
+    for k in range(DIM + 1):
+        for indices in itertools.product(range(1, DIM + 1), repeat=k):
+            for scale in (3, Fraction(-2, 3), 1.5, -0.0):
+                form = KForm.basis(*indices, scale=scale)
+                assert form.grade == k
+                assert typed(form.coeffs) == typed(reference_basis(*indices, scale=scale))
+
+
+@given(st.integers(0, DIM), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_linear_operations_match_termwise(k, r):
+    """+, −, unary −, * and / give the termwise scalars, types included."""
+    scalars = (0, 2, Fraction(-3, 4), 0.5, -0.0, 1.25j)
+    a = KForm(k, [r.choice(scalars) for _ in range(dim_grade(k))])
+    b = KForm(k, [r.choice(scalars) for _ in range(dim_grade(k))])
+    s = r.choice((3, Fraction(2, 5), -0.5))
+    cases = [(a + b, [x + y for x, y in zip(a.coeffs, b.coeffs)]),
+             (a - b, [x - y for x, y in zip(a.coeffs, b.coeffs)]),
+             (-a, [-x for x in a.coeffs]),
+             (a * s, [x * s for x in a.coeffs]),
+             (s * a, [x * s for x in a.coeffs]),
+             (a / s, [x / s for x in a.coeffs])]
+    for got, want in cases:
+        assert got.grade == k
+        assert typed(got.coeffs) == typed(want)
+
+
+_entries = {
+    "int": st.integers(-3, 3),
+    "fraction": st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    "float": st.floats(-3, 3, width=32),
+}
+
+
+@st.composite
+def _pullback_case(draw):
+    """A form of grade 0–6 and a 6×6 or 6×3 matrix, each with int,
+    Fraction or float entries, sparse or mixed."""
+    k = draw(st.integers(0, DIM))
+    m = draw(st.sampled_from((DIM, 3)))
+    kinds = draw(st.lists(st.sampled_from(sorted(_entries)), min_size=1, max_size=3))
+    scalar = st.one_of(st.just(0), *(_entries[n] for n in kinds))
+    form = KForm(k, draw(st.lists(scalar, min_size=dim_grade(k), max_size=dim_grade(k))))
+    matrix = draw(st.lists(st.lists(scalar, min_size=m, max_size=m),
+                           min_size=DIM, max_size=DIM))
+    return form, matrix
+
+
+@given(_pullback_case())
+@settings(max_examples=150, deadline=None)
+def test_pullback_matches_generic_loop(case):
+    """The int path for rational input and the generic loop otherwise give
+    the generic loop's coefficients with its types: an int wherever no
+    Fraction enters an output's sum."""
+    form, matrix = case
+    got, want = form.pullback(matrix), reference_pullback(form, matrix)
+    if len(matrix[0]) == DIM:
+        assert got.grade == want.grade
+        got, want = got.coeffs, want.coeffs
+    assert typed(got) == typed(want)
+
+
+def test_pullback_keeps_int_outputs():
+    """All-int input and the zero form give ints; one Fraction entry makes
+    Fractions of exactly the outputs whose sums it enters."""
+    I = [[int(i == j) for j in range(DIM)] for i in range(DIM)]
+    omega = KForm.basis(1, 2, 4, scale=2) + KForm.basis(3, 5, 6, scale=-1)
+    assert all(type(c) is int for c in omega.pullback(I).coeffs)
+    assert all(type(c) is int for c in KForm.zero(3).pullback(I).coeffs)
+    M = [row[:] for row in I]
+    M[0][5] = Fraction(1, 2)  # row 1 (used by e124), column 6
+    got = omega.pullback(M)
+    want = reference_pullback(omega, M)
+    assert typed(got.coeffs) == typed(want.coeffs)
+    assert {type(c) for c in got.coeffs} == {int, Fraction}
 
 
 def test_grade_errors():
