@@ -20,7 +20,7 @@ from .poly import Poly
 def cs_form(gamma=0):
     """The effective form dp∧dq∧dz + dx∧dy∧dh − γ dx∧dy∧dz of the
     semi-geostrophic equation with right-hand side γ."""
-    one = gamma - gamma + 1 if not isinstance(gamma, float) else 1.0
+    one = gamma - gamma + 1
     return (KForm.basis(3, 4, 5, scale=one) + KForm.basis(1, 2, 6, scale=one)
             - KForm.basis(1, 2, 3, scale=gamma))
 
@@ -29,11 +29,10 @@ def cs_reduction(gamma=0):
     """The symplectomorphism φ(x,y,z,p,q,h) = (x,y,h,p,q,γh−z).
 
     It pulls the semi-geostrophic form back to dp∧dq∧dh − dx∧dy∧dz, the
-    form of det Hess = 1, for every γ.
+    form of det Hess = 1, for every γ; a float γ enters as its exact value.
     """
     x, y, z, p, q, h = [Poly.var(i) for i in range(6)]
-    g = Fraction(gamma) if not isinstance(gamma, float) else gamma
-    return DiffeoMap([x, y, h, p, q, g * h - z])
+    return DiffeoMap([x, y, h, p, q, Fraction(gamma) * h - z])
 
 
 def hess_one_form():

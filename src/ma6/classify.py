@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exterior import DIM, POS, KForm, _all_rational, _cleared, _kform, dim_grade
-from .symplectic import EffectivenessError, is_effective
+from .symplectic import EffectivenessError, effective_tol, is_effective
 from .hitchin import (
     DegenerateFormError,
     ExactnessError,
@@ -143,8 +143,8 @@ def _exact_invariants(omega, s):
 
 def classify(omega, s, tol=0):
     """Map an effective 3-form to its orbit class and invariant report."""
-    float_mode = any(isinstance(c, float) for c in omega.coeffs)
-    eff_tol = tol if tol else (1e-9 * (1 + omega.max_abs()) if float_mode else 0)
+    rule = effective_tol(omega)
+    eff_tol = tol or rule
     if not is_effective(s, omega, tol=eff_tol):
         raise EffectivenessError("classification requires an effective 3-form")
     if _all_rational(omega.coeffs) and _all_rational(s.omega.coeffs):
@@ -177,7 +177,7 @@ def classify(omega, s, tol=0):
                else OrbitClass.WAVE_2D)
         return cls, report
     if rank == 0:
-        zero = omega.max_abs() <= eff_tol if float_mode else omega.is_zero()
+        zero = omega.max_abs() <= eff_tol if rule else omega.is_zero()
         return (OrbitClass.ZERO if zero else OrbitClass.SECOND_DERIVATIVE), report
     raise UnclassifiableError(
         f"λ = 0 with signature rank {rank} is outside the table's convention")
@@ -209,8 +209,7 @@ def build_gcy(omega, s):
     exact = not isinstance(lam, float)
     root = _abs_pow(lam, 1, 4, exact)
     normalized = omega * (1 / root)
-    eff_tol = 0 if exact else 1e-9 * (1 + normalized.max_abs())
-    if not is_effective(s, normalized, tol=eff_tol):
+    if not is_effective(s, normalized):
         raise EffectivenessError("the structure requires an effective 3-form")
     r2 = root * root
     K = [[e / r2 for e in row] for row in K]

@@ -374,7 +374,7 @@ def cmd_demo(args):
 
 def _demo_cs(args):
     s = standard_space()
-    g = Fraction(args.gamma) if args.gamma == int(args.gamma) else args.gamma
+    g = Fraction(args.gamma)  # the float's exact value
     form = casestudies.cs_form(g)
     phi = casestudies.cs_reduction(g)
     from .fields import is_symplectomorphism, pullback_field_poly

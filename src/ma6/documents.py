@@ -9,7 +9,8 @@ Index strings use digits 1..6 in strictly increasing order over the basis
 (q1, q2, q3, p1, p2, p3).  Exact mode stores scalars as rational strings
 ("3/4"); float mode stores JSON numbers.  Field documents replace each
 scalar by a polynomial: a map from comma-separated exponent vectors to
-rationals, e.g. {"0,1,0,0,2,0": "-3"} for −3·q2·p2².
+rationals, e.g. {"0,1,0,0,2,0": "-3"} for −3·q2·p2², each exponent at most
+MAX_EXPONENT.
 """
 
 from __future__ import annotations
@@ -23,6 +24,10 @@ from .fields import FormField
 from .poly import Poly
 
 VERSION = 1
+
+# the largest exponent in a field document: a polynomial is evaluated with
+# one product per unit of exponent, so an unbounded one could run for good
+MAX_EXPONENT = 100
 
 
 class DocumentError(ValueError):
@@ -124,8 +129,8 @@ def _parse_poly(pmap):
             exps = tuple(int(p) for p in parts)
         except ValueError as e:
             raise DocumentError(f"bad exponent vector {key!r}") from e
-        if any(e < 0 for e in exps):
-            raise DocumentError(f"negative exponent in {key!r}")
+        if any(not 0 <= e <= MAX_EXPONENT for e in exps):
+            raise DocumentError(f"exponents in {key!r} must be 0..{MAX_EXPONENT}")
         terms[exps] = _parse_scalar(v, "exact")
     return Poly(terms)
 
@@ -164,8 +169,8 @@ def serialize_field(fld):
 
 def is_field_document(doc):
     """Heuristic: coefficient values that are objects denote polynomials."""
-    cmap = doc.get("coefficients", {}) if isinstance(doc, dict) else {}
-    return any(isinstance(v, dict) for v in cmap.values())
+    cmap = doc.get("coefficients") if isinstance(doc, dict) else None
+    return isinstance(cmap, dict) and any(isinstance(v, dict) for v in cmap.values())
 
 
 def _jsonable(v):

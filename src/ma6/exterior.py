@@ -285,14 +285,14 @@ class QuadraticTable:
     """A tuple of quadratic polynomials in the coefficients w of a form, or
     of bilinear ones in two coefficient sequences u and v.
 
-    Built from one mapping {(I, J): c} per entry; evaluating at w gives, per
-    entry, Σ c·w_I·w_J, and at (u, v) gives Σ c·u_I·v_J.  Every coefficient
-    is kept exactly and as a float: float input is evaluated in floats only,
-    and rational input (int/Fraction, with rational c) in Python ints over a
-    common denominator, so it stays exact.  Other real input (rational input
-    with a float table) is evaluated in floats; complex and ExactComplex
-    input uses the exact coefficients.  ``batch`` evaluates the quadratic
-    polynomials at every row of a float array at once.
+    Built from one mapping {(I, J): c} per entry, each c an int or a
+    Fraction; evaluating at w gives, per entry, Σ c·w_I·w_J, and at (u, v)
+    gives Σ c·u_I·v_J.  Every coefficient is kept exactly and as a float:
+    rational input (int/Fraction) is evaluated in Python ints over a common
+    denominator, so it stays exact, other real input in floats only, and
+    complex and ExactComplex input with the exact coefficients.  ``batch``
+    evaluates the quadratic polynomials at every row of a float array at
+    once.
     """
 
     __slots__ = ("exact", "floats", "ints", "den", "_arrays")
@@ -302,20 +302,16 @@ class QuadraticTable:
                       for e in entries)
         self.exact = exact
         self.floats = tuple(tuple((i, j, float(c)) for i, j, c in e) for e in exact)
-        cs = [c for e in exact for _, _, c in e]
-        if all(isinstance(c, (int, Fraction)) for c in cs):
-            den = math.lcm(*(c.denominator for c in cs))
-            self.den = den
-            self.ints = tuple(tuple((i, j, c.numerator * (den // c.denominator))
-                                    for i, j, c in e) for e in exact)
-        else:
-            self.den = self.ints = None
+        den = math.lcm(*(c.denominator for e in exact for _, _, c in e))
+        self.den = den
+        self.ints = tuple(tuple((i, j, c.numerator * (den // c.denominator))
+                                for i, j, c in e) for e in exact)
         self._arrays = None
 
     def __call__(self, u, v=None):
         same = v is None
         v = u if same else v
-        if self.ints is not None and _all_rational(u) and (same or _all_rational(v)):
+        if _all_rational(u) and (same or _all_rational(v)):
             nums, den = self.rational(u, None if same else v)
             return tuple(Fraction(n, den) for n in nums)
         if _all_real(u) and (same or _all_real(v)):

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exterior import COMBS, DIM, KForm, POS, _det, dim_grade, merge_sign
+from .exterior import COMBS, DIM, KForm, POS, dim_grade, merge_sign
 from .hitchin import _derivation_table, _k_table, _pieces_pairing, pfaffian, theta_pairing
 from .poly import Poly
 
@@ -169,20 +169,11 @@ def _incidence(k):
     return D.reshape(DIM * dim_grade(k), -1)
 
 
-def _stencil_points(X, h):
-    """The 12 points x ± h·e_a of each row x of X, an (n, 6) array, as a
-    (12n, 6) array: x + h·e_a in row 12i + 2a, x − h·e_a in row 12i + 2a + 1."""
-    P = np.repeat(X, 2 * DIM, axis=0).reshape(-1, 2 * DIM, DIM)
-    a = np.arange(DIM)
-    P[:, 2 * a, a] += h
-    P[:, 2 * a + 1, a] -= h
-    return P.reshape(-1, DIM)
-
-
 def _d_stencils(F, h, grade):
     """Central-difference exterior derivatives of grade-k forms from their
     coefficients F at the stencil points of n points, a (12n, C(6, k))
-    array in the rows of `_stencil_points`: an (n, C(6, k + 1)) array.
+    array, each point's 12 rows those of `_stencil` at depth 1 (x + h·e_a
+    in row 2a, x − h·e_a in row 2a + 1): an (n, C(6, k + 1)) array.
     Each point's partials take their own vector-matrix product with the
     incidence, so a point's d does not depend on n."""
     F = F.reshape(-1, 2 * DIM, dim_grade(grade))
@@ -192,8 +183,7 @@ def _d_stencils(F, h, grade):
 
 def d_numeric(fld, x, h=DEFAULT_H):
     """Central-difference exterior derivative of a real field at a point."""
-    points = _stencil_points(np.asarray(x, dtype=float).reshape(1, DIM), h)
-    d, = _d_stencils(fld.batch(points), h, fld.grade)
+    d, = _d_stencils(fld.batch(_stencil(x, h, 1)[0][1:]), h, fld.grade)
     return KForm(fld.grade + 1, d.tolist())
 
 
@@ -222,25 +212,15 @@ class DiffeoMap:
 
 
 def pullback_field_poly(phi, fld):
-    """Symbolic pullback φ*ω of a polynomial field along a polynomial map."""
+    """Symbolic pullback φ*ω of a polynomial field along a polynomial map:
+    each coefficient composed with φ, then pulled back by the Jacobian of φ
+    as a form with Poly coefficients."""
     if not (phi.is_polynomial() and fld.is_polynomial()):
         raise ValueError("symbolic pullback needs polynomial data")
     comps = [_to_poly(c) for c in phi.components]
-    J = phi.jacobian_poly()
-    k = fld.grade
-    out = []
-    for Jidx in COMBS[k]:
-        acc = Poly({})
-        for Iidx, entry in zip(COMBS[k], fld.coeffs):
-            p = _to_poly(entry)
-            if p.is_zero():
-                continue
-            minor = _det([[J[i - 1][j - 1] for j in Jidx] for i in Iidx])
-            if minor == 0:
-                continue
-            acc = acc + p.subst(comps) * minor
-        out.append(acc)
-    return FormField(k, out)
+    form = KForm(fld.grade, [_to_poly(c).subst(comps) for c in fld.coeffs])
+    pulled = form.pullback(phi.jacobian_poly())
+    return FormField(fld.grade, map(_to_poly, pulled.coeffs))
 
 
 def is_symplectomorphism(phi, s):
@@ -423,9 +403,19 @@ def lambda_field(fld, s, x):
 
 
 def _lambdas(K):
-    """λ = tr(K²)/6 for each row of K, an (N, 36) array of 6x6 matrices."""
+    """λ = tr(K²)/6 for each row of K, an (N, 36) array of 6x6 matrices,
+    summed in the order of `hitchin._lambda_of_k`: K_ik·K_ki over k for each
+    i, then over i, each sum from 0.0.  So a row's λ does not depend on the
+    other rows and is, bitwise, the float `pfaffian` of its form."""
     K3 = K.reshape(-1, DIM, DIM)
-    return np.einsum("nij,nji->n", K3, K3) / 6
+    P = K3 * K3.transpose(0, 2, 1)  # K_ik·K_ki as [n, i, k]
+    rows = 0.0
+    for k in range(DIM):
+        rows = rows + P[:, :, k]
+    t = 0.0
+    for i in range(DIM):
+        t = t + rows[:, i]
+    return t / 6
 
 
 def _structure_pass(fld, s, points, h):
@@ -434,11 +424,12 @@ def _structure_pass(fld, s, points, h):
     central differences, each (n, 15); all five read-only.
 
     The field is evaluated once, as one batch of 13 rows per point: the n
-    sample points x, then the 12 points x ± h·e_a of each.  θ·K, λ =
-    tr(K²)/6 and K·ω, hence ω̂ = λ/(3|λ|^(3/2))·K·ω, come for all 13n rows
-    from the batched tables, and every d from one product with the
-    incidence.  A table row and a point's d do not depend on the batch, so
-    this is bitwise one pass on the sample points and one per stencil.
+    sample points x, then the 12 points x ± h·e_a of each, from `_stencil`.
+    θ·K, λ = tr(K²)/6 and K·ω, hence ω̂ = λ/(3|λ|^(3/2))·K·ω, come for all
+    13n rows from the batched tables, and every d from one product with the
+    incidence.  A table row, its λ and a point's d do not depend on the
+    batch, so this is bitwise one pass on the sample points and one per
+    stencil.
 
     Before any normalization, in this order: the first sample point whose λ
     is not finite or fails the degeneracy guard raises DegeneratePointError
@@ -454,14 +445,10 @@ def _structure_pass(fld, s, points, h):
     if memo is not None and memo[0] is s and memo[1] == h and memo[2] == key:
         return memo[3]
     n = len(X)
-    P = np.concatenate([X, _stencil_points(X, h)])
+    P = np.concatenate([X] + [_stencil(x, h, 1)[0][1:] for x in X])
     W = fld.batch(P)
     K = _k_table().batch(W) / float(s.theta.coeffs[0])
     lams = _lambdas(K)
-    # einsum sums a lone row of the table's column-major K in another order
-    # than a row among several: the sample rows are summed as a batch of
-    # their own, as a pass on the sample points alone sums them
-    lams[:n] = _lambdas(np.asfortranarray(K[:n]))
     bad = ~np.isfinite(lams) | _degenerate(lams, np.abs(W).max(axis=1))
 
     def guard(start, stop):

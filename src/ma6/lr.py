@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .exterior import DIM, _bot_table, interior_vector, wedge
-from .symplectic import EffectivenessError, is_effective
+from .symplectic import EFFECTIVE_TOL, EffectivenessError, is_effective
 from .hitchin import _k_table, hitchin_k
 
 
@@ -28,9 +28,6 @@ class QuadForm6:
         Y = X if Y is None else Y
         return sum(self.matrix[i][j] * X[i] * Y[j]
                    for i in range(DIM) for j in range(DIM))
-
-    def scale(self, c):
-        return QuadForm6(tuple(tuple(e * c for e in row) for row in self.matrix))
 
 
 @dataclass(frozen=True)
@@ -79,7 +76,7 @@ def _q_of_k(K, s):
 
 def q_form(omega, s, tol=0):
     """Q with Q(X) = −(1/4) ⊥²(i_X ω ∧ i_X ω), read off Hitchin's K;
-    requires ω effective."""
+    requires ω effective, by `is_effective` with tol."""
     if omega.grade != 3:
         raise ValueError("q_form takes a 3-form")
     if not is_effective(s, omega, tol=tol):
@@ -90,14 +87,14 @@ def q_form(omega, s, tol=0):
 def q_matrices(W, s):
     """The matrices of q_form at each row of the float array W of 3-form
     coefficients, shape (N, 20): an (N, 6, 6) float array.  Every row must
-    pass the float guard of q_form, |⊥ω| ≤ 1e-9·(1 + |ω|)."""
+    be effective by the rule of q_form on floats, |⊥ω| ≤ EFFECTIVE_TOL·(1 + |ω|)."""
     import numpy as np
 
     W = np.asarray(W, dtype=float)
     x_omega = np.array(s.x_omega.coeffs, dtype=float)
     X = np.broadcast_to(x_omega, (len(W), x_omega.size))
     bot = np.abs(_bot_table(3).batch(X, W)).max(axis=1)
-    if not (bot <= 1e-9 * (1 + np.abs(W).max(axis=1))).all():
+    if not (bot <= EFFECTIVE_TOL * (1 + np.abs(W).max(axis=1))).all():
         raise EffectivenessError("q_form requires an effective 3-form")
     K = (_k_table().batch(W) / float(s.theta.coeffs[0])).reshape(-1, DIM, DIM)
     M = np.einsum("nki,kj->nij", K, np.array(s.matrix, dtype=float))

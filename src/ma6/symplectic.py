@@ -105,17 +105,31 @@ def bot(s, omega):
     return interior_bivector(s.x_omega, omega)
 
 
+EFFECTIVE_TOL = 1e-9  # of |⊥ω| per 1 + |ω|, as ⊥ is linear in ω
+
+
+def effective_tol(omega):
+    """The tolerance of the one effectiveness rule: EFFECTIVE_TOL·(1 + |ω|)
+    for a form with a float coefficient, and 0, ⊥ω = 0 exactly, for
+    rational and symbolic forms."""
+    if any(isinstance(c, float) for c in omega.coeffs):
+        return EFFECTIVE_TOL * (1 + omega.max_abs())
+    return 0
+
+
 def is_effective(s, omega, tol=0):
-    """True iff ⊥ω = 0; for grade 3 this coincides with ω ∧ Ω = 0.  With
-    tol, |⊥ω| ≤ tol instead.  At tol = 0 on rational X_Ω and ω, ⊥ω is zero
-    iff the int numerators of its table are, and no Fraction is made."""
+    """True iff ⊥ω = 0 (by the rule of `effective_tol` for a float form);
+    for grade 3 this coincides with ω ∧ Ω = 0.  With tol, |⊥ω| ≤ tol
+    instead.  On rational X_Ω and ω, ⊥ω is zero iff the int numerators of
+    its table are, and no Fraction is made."""
     if omega.grade < 2:
         return True
-    if tol:
-        return bot(s, omega).max_abs() <= tol
-    if _all_rational(s.x_omega.coeffs) and _all_rational(omega.coeffs):
+    if not tol and _all_rational(omega.coeffs) and _all_rational(s.x_omega.coeffs):
         nums, _ = _bot_table(omega.grade).rational(s.x_omega.coeffs, omega.coeffs)
         return not any(nums)
+    tol = tol or effective_tol(omega)
+    if tol:
+        return bot(s, omega).max_abs() <= tol
     return bot(s, omega).is_zero()
 
 

@@ -5,6 +5,7 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,12 +36,12 @@ from ma6.hitchin import (
     pfaffian,
     split_pair,
 )
-from ma6.lr import in_sp3, q_form
+from ma6.lr import in_sp3, q_form, q_matrices
 from ma6.symplectic import EffectivenessError, bot, is_effective, project_effective
 
 from conftest import reference_table1_form
 
-from conftest import darboux_map, rand_fraction, reference_signature
+from conftest import darboux_map, rand_fraction, reference_signature, sheared_float_form
 
 PARAMS = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]
 
@@ -361,6 +362,27 @@ def test_lambda_is_quartic(space, other_space, negative_space, row, p, shears, t
         cls_t, report_t = classify(omega * t, s)
         assert report_t.lambda_ == t ** 4 * report.lambda_
         assert (cls_t, report_t.signature) == (cls, report.signature)
+
+
+def test_one_effectiveness_rule_for_float_forms(space):
+    """Table rows moved by float symplectic shears have a ⊥ω of rounding
+    size: classify, build_gcy, q_form and q_matrices all take them as
+    effective, by the one rule |⊥ω| ≤ EFFECTIVE_TOL·(1 + |ω|), and a form
+    moved off by 10⁻⁶ in a non-effective direction is refused by all four."""
+    rng = random.Random(3)
+    rows = [1 + i % 9 for i in range(50)]
+    forms = [sheared_float_form(table1_form(row), rng) for row in rows]
+    for row, omega in zip(rows, forms):
+        assert is_effective(space, omega)
+        assert classify(omega, space)[0] == TABLE1_CLASSES[row]
+        Q = q_form(omega, space).matrix
+        assert np.array_equal(q_matrices([omega.coeffs], space)[0], Q)
+        if row <= 3:
+            build_gcy(omega, space)
+    off = forms[0] + KForm.basis(1, 2, 4) * 1e-6
+    for fn in (classify, build_gcy, q_form, lambda w, s: q_matrices([w.coeffs], s)):
+        with pytest.raises(EffectivenessError):
+            fn(off, space)
 
 
 def test_exact_classify_guard(space, other_space, negative_space):

@@ -516,3 +516,86 @@ def test_cli_malformed_form_documents_exit_2_or_4(case):
     assert out == ""
     assert err.getvalue().startswith("error: ")
     assert "Traceback" not in err.getvalue()
+
+
+# --- field documents for check-structure: an exit code, never a traceback
+
+_ROW2_FIELD = {"234": "1", "135": "-1", "126": "1", "456": "-1/4"}
+_small_exponents = st.lists(st.integers(0, 3), min_size=6, max_size=6)
+
+
+@st.composite
+def _field_doc(draw):
+    """A field document: the constant row-2 field with one to three
+    polynomial terms added, and at most one defect: a term at a bad index,
+    a malformed exponent vector, an exponent up to 10²⁵, a coefficient that
+    is not a rational, or a random value at one key of the document."""
+    doc = {"version": 1, "scalar": "exact", "grade": 3,
+           "coefficients": {k: {"0,0,0,0,0,0": v} for k, v in _ROW2_FIELD.items()}}
+    coeffs = doc["coefficients"]
+    terms = [[draw(st.sampled_from(sorted(_VALID_INDICES))), draw(_small_exponents),
+              str(draw(st.fractions(-5, 5, max_denominator=7)))]
+             for _ in range(draw(st.integers(1, 3)))]
+    defect = draw(st.sampled_from(("none", "none", "none", "index", "vector", "huge",
+                                   "value", "key")))
+    term = terms[0]
+    if defect == "index":
+        term[0] = draw(st.text(max_size=4).filter(lambda k: k not in _VALID_INDICES))
+    elif defect == "vector":
+        term[1] = draw(st.text(max_size=12))
+    elif defect == "huge":
+        term[1][draw(st.integers(0, 5))] = draw(st.integers(0, 10 ** 25))
+    elif defect == "value":
+        term[2] = draw(_json_leaf)
+    for index, exponents, value in terms:
+        key = exponents if isinstance(exponents, str) else ",".join(map(str, exponents))
+        coeffs.setdefault(index, {})[key] = value
+    if defect == "key":
+        name = draw(st.sampled_from(("version", "scalar", "grade", "coefficients", "extra")))
+        doc[name] = draw(_json_value)
+    return doc
+
+
+@given(_field_doc())
+@settings(max_examples=150, deadline=None)
+def test_cli_check_structure_field_documents_exit_with_a_code(doc):
+    """`ma6 check-structure`, run in-process on a random field document,
+    exits with a documented code, 0 to 4, and no traceback: a report on
+    stdout for 0 and 1, a message on stderr otherwise."""
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(["check-structure", "--samples", "1"], stdin_text=json.dumps(doc))
+    assert code in (0, 1, 2, 3, 4), (doc, out)
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1):
+        assert json.loads(out)["command"] == "check-structure"
+    else:
+        assert out == "" and err.getvalue().startswith("error: ")
+
+
+def test_cli_check_structure_huge_exponent_exit_2():
+    """An exponent of 10²² used to make `check-structure` multiply for good;
+    above MAX_EXPONENT it is invalid input, and at it the field is checked."""
+    from ma6.documents import MAX_EXPONENT
+
+    for e, want in ((MAX_EXPONENT, 0), (MAX_EXPONENT + 1, 2), (10 ** 22, 2)):
+        doc = {"version": 1, "scalar": "exact", "grade": 3,
+               "coefficients": {k: {"0,0,0,0,0,0": v} for k, v in _ROW2_FIELD.items()}}
+        doc["coefficients"]["123"] = {f"{e},0,0,0,0,0": "1"}
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["check-structure", "--samples", "1"],
+                                stdin_text=json.dumps(doc))
+        assert code == want, (e, err.getvalue())
+        if want == 2:
+            assert str(MAX_EXPONENT) in err.getvalue()
+
+
+def test_cli_demo_cs_non_integer_gamma():
+    """γ = 0.5 reduces by its exact value 1/2: the demo passes, where a float
+    γ in the reduction map used to raise TypeError."""
+    code, out = run_cli(["demo", "cs", "--gamma", "0.5"])
+    rep = json.loads(out)
+    assert code == 0
+    assert rep["passed"] is True
+    assert rep["checks"]["reduction_pullback_exact"] is True

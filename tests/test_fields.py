@@ -653,16 +653,16 @@ def test_curvature_matches_loop_reference():
 # --- the structure pass against a pass per batch ----------------------------
 
 def reference_pair(fld, s, points):
-    """λ, nω and nω̂ at N points from one batch of the tables; the first
-    point whose λ is not finite or fails the guard raises."""
+    """λ, nω and nω̂ at N points from one batch of the tables, each λ summed
+    alone by `hitchin._lambda_of_k`; the first point whose λ is not finite
+    or fails the guard raises."""
     from ma6.fields import _degenerate
-    from ma6.hitchin import _derivation_table
+    from ma6.hitchin import _derivation_table, _lambda_of_k
 
     points = np.asarray(points, dtype=float).reshape(-1, 6)
     W = fld.batch(points)
     K = _k_table().batch(W) / float(s.theta.coeffs[0])
-    K3 = K.reshape(-1, 6, 6)
-    lams = np.einsum("nij,nji->n", K3, K3) / 6
+    lams = np.array([_lambda_of_k(k.reshape(6, 6).tolist()) for k in K])
     bad = ~np.isfinite(lams) | _degenerate(lams, np.abs(W).max(axis=1))
     if bad.any():
         i = bad.argmax()
@@ -771,9 +771,7 @@ def test_structure_pass_matches_pass_per_batch(space, n):
     """Both checks equal, bitwise (by repr), the reports of a pass on the
     sample points and one per stencil, on constant, conformal, non-closed,
     polynomial and dense fields, at h = 1e-4 and 1e-3; where the reference
-    raises, they raise the same.  At n = 1 the dense field's λ at the
-    sample point is summed in the order of a lone row, which shows in the
-    ratio's last bit."""
+    raises, they raise the same."""
     pts = sample_box([(-0.5, 0.5)] * 6, n, seed=n + 1)
     reports = 0
     for fld, ref in zip(_structure_fields(), _structure_fields()):
@@ -782,6 +780,37 @@ def test_structure_pass_matches_pass_per_batch(space, n):
             assert _outcome(_both_checks, fld, space, pts, h) == want
             reports += isinstance(want, str)
     assert reports >= 12
+
+
+def test_lambdas_are_pfaffians_alone_and_in_a_batch(space, other_space):
+    """Each row's λ from `_lambdas` is, bitwise, the float pfaffian of its
+    form, whether the row comes alone or among 13."""
+    from ma6.fields import _lambdas
+
+    rng = np.random.default_rng(37)
+    for s in (space, other_space):
+        W = rng.uniform(-2, 2, size=(13, 20))
+        K = _k_table().batch(W) / float(s.theta.coeffs[0])
+        want = [pfaffian(KForm(3, w.tolist()), s) for w in W]
+        assert _lambdas(K).tolist() == want
+        assert [_lambdas(K[i:i + 1])[0] for i in range(13)] == want
+
+
+def test_report_at_a_point_does_not_depend_on_the_others(space):
+    """The integrability ratio of the dense field at x is the same, bitwise,
+    checked at [x] and at [x, y], over 60 seeds (pairs whose λ changes sign
+    raise and are skipped)."""
+    compared = 0
+    for seed in range(60):
+        x, y = sample_box([(-0.5, 0.5)] * 6, 2, seed=seed)
+        try:
+            both = gcy_integrability_check(FormField.from_pointwise(3, _dense), space, [x, y])
+        except BranchChangeError:
+            continue
+        alone = gcy_integrability_check(FormField.from_pointwise(3, _dense), space, [x])
+        assert repr(alone.details["ratio"]) == repr(both.details["ratio"])
+        compared += 1
+    assert compared >= 40
 
 
 def test_structure_pass_kept_for_one_key(space):
