@@ -6,6 +6,9 @@ Coordinates follow the (q1, q2, q3, p1, p2, p3) convention of the exterior
 module; the aliases (x, y, z, p, q, h) name the same slots.  Coefficients
 are either exact polynomials (`poly.Poly`) or black-box evaluators
 point -> scalar.
+
+numpy is imported by the functions that compute on arrays, not by this
+module, so exact work and pure-Python checks run without it.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-
-import numpy as np
 
 from .exterior import COMBS, DIM, KForm, POS, dim_grade, merge_sign
 from .hitchin import _derivation_table, _k_table, _pieces_pairing, pfaffian, theta_pairing
@@ -98,6 +99,8 @@ class FormField:
         over its terms in dict order, each term float(c)·x_a·x_a·… with the
         factors multiplied in the order of ``Poly.eval``.  The float(c) are
         converted once per field, on the first call."""
+        import numpy as np
+
         points = np.asarray(points, dtype=float).reshape(-1, DIM)
         if self.fn is not None:
             rows = [[float(c) for c in self.fn(y).coeffs] for y in points.tolist()]
@@ -160,6 +163,8 @@ def _incidence(k):
     """The signed incidence of grade k, shape (6·C(6, k), C(6, k + 1)): row
     a·C(6, k) + I, column J holds the sign of e_{a+1} ∧ e_I on e_J, so the
     partials ∂_a ω_I, flattened the same way, times it give dω."""
+    import numpy as np
+
     D = np.zeros((DIM, dim_grade(k), dim_grade(k + 1)))
     for I, idx in enumerate(COMBS[k]):
         for a in range(DIM):
@@ -347,8 +352,14 @@ class Submanifold3:
 
 def _worst(residuals):
     """The largest residual, 0.0 for none, and NaN if any is NaN, where
-    Python's max would drop it."""
-    return float(np.max(np.asarray(list(residuals), dtype=float), initial=0.0))
+    Python's max would drop it.  Every residual is read, so one computed
+    after a NaN still raises what it raises."""
+    worst = 0.0
+    for r in residuals:
+        r = float(r)
+        if r > worst or r != r:  # once NaN, no number is greater
+            worst = r
+    return worst
 
 
 @dataclass
@@ -367,6 +378,8 @@ def check_generalized_solution(L, fld, s, params, tol=DEFAULT_TOL):
     ``params`` are parameter-space sample points; rank-deficient points are
     excluded and reported.
     """
+    import numpy as np
+
     lags, oms = [], []
     excluded = []
     for u in params:
@@ -439,6 +452,8 @@ def _structure_pass(fld, s, points, h):
     sign crosses the branch and raises BranchChangeError.  A failed pass is
     not kept; a passed one is kept on the field, and returned again for the
     same space, h and float64 points."""
+    import numpy as np
+
     X = np.asarray(points, dtype=float).reshape(-1, DIM)
     key = X.tobytes()
     memo = fld._pass
@@ -503,7 +518,7 @@ def closedness_check(fld, s, points, h=DEFAULT_H, tol=DEFAULT_TOL):
     errors are those of a sample-point pass followed by one stencil pass
     per point (see `_structure_pass`)."""
     _, _, _, dn, dd = _structure_pass(fld, s, points, h)
-    res_n, res_d = float(np.abs(dn).max()), float(np.abs(dd).max())
+    res_n, res_d = float(abs(dn).max()), float(abs(dd).max())
     worst = max(res_n, res_d)
     return CheckReport(passed=worst <= tol, max_residual=worst,
                        n_points=len(points), tol=tol,
@@ -527,11 +542,11 @@ def gcy_integrability_check(fld, s, points, h=DEFAULT_H, tol=DEFAULT_TOL):
     res_closed = 0.0
     ratios = []
     for lam, nw, nd, dn, dd in zip(lams, n_omega, n_dual, dns, dds):
-        res_closed = max(res_closed, float(np.abs(dn).max()), float(np.abs(dd).max()))
+        res_closed = max(res_closed, float(abs(dn).max()), float(abs(dd).max()))
         if lam > 0:
-            d_pieces = max(np.abs(dn + dd).max(), np.abs(dn - dd).max())
+            d_pieces = max(abs(dn + dd).max(), abs(dn - dd).max())
         else:
-            d_pieces = np.abs(dn + 1j * dd).max()
+            d_pieces = abs(dn + 1j * dd).max()
         res = max(res, float(d_pieces) / 2)
         t = theta_pairing(KForm(3, nd.tolist()), KForm(3, nw.tolist()), s)
         ratios.append(complex(_pieces_pairing(t, lam, False)) / -6)
@@ -555,11 +570,17 @@ class MetricField:
     ``MetricField(fn)`` calls a function point -> 6x6 array once per point."""
 
     def __init__(self, fn):
-        self.batch = lambda points: np.array([np.asarray(fn(x), dtype=float)
-                                              for x in points])
+        def batch(points):
+            import numpy as np
+
+            return np.array([np.asarray(fn(x), dtype=float) for x in points])
+
+        self.batch = batch
 
     @classmethod
     def constant(cls, M):
+        import numpy as np
+
         arr = np.array(M, dtype=float)
         return cls(lambda x: arr)
 
@@ -582,6 +603,8 @@ def _stencil_plan(depth):
     """The shape of `_stencil` at a depth, which does not depend on x or h:
     the number of points, for the first and the second ±h step of a point
     the (rows, axes, signs) of the points that take it, and nb."""
+    import numpy as np
+
     index, paths = {}, []
 
     def add(path):
@@ -614,6 +637,8 @@ def _stencil(x, h, depth):
     and y_c − h·e_b.  At depth 2 that is 85 points: x, x ± h·e_a,
     x ± 2h·e_a and x ± h·e_a ± h·e_b for a < b.  A point takes its first
     step from x and its second from there, so x ± 2h·e_a is (x ± h) ± h."""
+    import numpy as np
+
     n, steps, nb = _stencil_plan(depth)
     points = np.tile(np.asarray(x, dtype=float), (n, 1))
     for rows, axes, signs in steps:
@@ -624,6 +649,8 @@ def _stencil(x, h, depth):
 def _christoffels(G, nb, h):
     """Γ^k_{ij}, indexed [c, k, i, j], at the inner points of a stencil from
     the metric G at its points."""
+    import numpy as np
+
     dg = (G[nb[:, :, 0]] - G[nb[:, :, 1]]) / (2 * h)  # ∂_a g_{ij} as [c, a, i, j]
     ginv = np.linalg.inv(G[:len(nb)])
     # dg[i][j, l] + dg[j][i, l] − dg[l][i, j], indexed [c, i, j, l]
@@ -641,6 +668,8 @@ def christoffel(g, x, h=DEFAULT_H):
 def riemann(g, x, h=DEFAULT_H):
     """R^l_{kij} = ∂_iΓ^l_{jk} − ∂_jΓ^l_{ik} + Γ^l_{im}Γ^m_{jk} − Γ^l_{jm}Γ^m_{ik},
     with the metric evaluated once, as one batch of 85 points."""
+    import numpy as np
+
     points, nb = _stencil(x, h, 2)
     gammas = _christoffels(g.batch(points), nb, h)
     gam = gammas[0]
@@ -654,7 +683,7 @@ def riemann(g, x, h=DEFAULT_H):
 
 def flatness_check(g, points, h=DEFAULT_H, tol=CURVATURE_TOL):
     """Flat iff every curvature component is ≤ tol at every sample point."""
-    worst = _worst(np.abs(riemann(g, x, h)).max() for x in points)
+    worst = _worst(abs(riemann(g, x, h)).max() for x in points)
     return CheckReport(passed=worst <= tol, max_residual=worst,
                        n_points=len(points), tol=tol)
 

@@ -165,8 +165,10 @@ def test_s6_invariants(rng):
 
 
 def test_import_does_not_load_scipy():
-    """scipy is imported only when hess_one_solution's value is computed."""
+    """scipy is imported only when hess_one_solution's value is computed,
+    and numpy only by the code that computes on arrays: ``import ma6``
+    loads neither."""
     src = os.path.dirname(os.path.dirname(ma6.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, ma6; sys.exit('scipy' in sys.modules)"
+    code = "import sys, ma6; sys.exit('scipy' in sys.modules or 'numpy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

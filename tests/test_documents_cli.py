@@ -2,16 +2,18 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ma6 import cli
+from ma6 import casestudies, cli
 from ma6.casestudies import cs_form
 from ma6.classify import table1_form
 from ma6.documents import (
@@ -244,6 +246,49 @@ def test_cli_demo_s6():
     assert json.loads(out)["max_abs_lambda_plus_1"] < 1e-9
 
 
+def test_cli_demo_s6_nan_fails(monkeypatch):
+    """A NaN entry of K fails demo s6, as a NaN residual fails every check,
+    and the report states the thresholds the demo applied."""
+    s6_invariant = casestudies.s6_invariant
+
+    def with_nan(x):
+        inv = s6_invariant(x)
+        inv["K"] = [list(row) for row in inv["K"]]
+        inv["K"][2][4] = float("nan")
+        return inv
+
+    monkeypatch.setattr(casestudies, "s6_invariant", with_nan)
+    code, out = run_cli(["demo", "s6", "--samples", "3"])
+    rep = json.loads(out)
+    assert code == 1
+    assert rep["passed"] is False
+    assert math.isnan(rep["max_abs_K_squared_plus_id"])
+    assert rep["tolerances"] == {"max_abs_lambda_plus_1": 1e-9,
+                                 "max_abs_K_squared_plus_id": 1e-8,
+                                 "max_octonion_multiplication_residual": 1e-8}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=9, max_size=9))
+def test_det3_matches_numpy(entries):
+    """The cofactor determinant of the det Hess checks agrees with LU."""
+    H = [entries[0:3], entries[3:6], entries[6:9]]
+    bound = 1e-13 * (1 + max(abs(v) for v in entries)) ** 3
+    assert abs(cli._det3(H) - float(np.linalg.det(np.array(H)))) <= bound
+
+
+@pytest.mark.parametrize("b", ["1", "2", "3"])
+def test_cli_hess_one_checks_pass(b):
+    """det Hess = 1 holds for hess_one_solution(b) at every sampled point,
+    in check-solution and in demo cs."""
+    for seed in ("0", "5", "9"):
+        for argv in (["check-solution", "--solution", "hess-one"],
+                     ["demo", "cs", "--samples", "20"]):
+            code, out = run_cli([*argv, "--b", b, "--seed", seed])
+            assert code == 0, (argv, seed, out)
+            assert json.loads(out)["passed"] is True
+
+
 def test_cli_reports_reproducible():
     args = ["check-solution", "--solution", "hess-one", "--samples", "10",
             "--seed", "7"]
@@ -288,6 +333,81 @@ def run_cli_process(argv, stdin_text):
     return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "ma6.cli",
                            *argv], input=stdin_text, capture_output=True, text=True,
                           env=env, timeout=120)
+
+
+NUMPY_FREE_RUN = r"""
+import io, json, sys
+from contextlib import redirect_stdout
+from fractions import Fraction
+
+sys.modules["numpy"] = None  # from here on, importing numpy raises ImportError
+
+import ma6
+from ma6 import cli
+from ma6.classify import TABLE1_CLASSES, build_gcy, classify, table1_form
+from ma6.documents import serialize_form
+from ma6.hitchin import split_pair
+from ma6.symplectic import standard_space
+
+
+def shear(upper):
+    # [[I, S], [0, I]] or [[I, 0], [S, I]], S a symmetric rational 3x3
+    S = [[Fraction(1, 2), 0, 0], [0, Fraction(-2), Fraction(1, 3)],
+         [0, Fraction(1, 3), 1]]
+    M = [[Fraction(int(i == j)) for j in range(6)] for i in range(6)]
+    for i in range(3):
+        for j in range(3):
+            if upper:
+                M[i][3 + j] = S[i][j]
+            else:
+                M[3 + i][j] = S[i][j]
+    return M
+
+
+s = standard_space()
+forms = {row: table1_form(row, Fraction(3, 2)).pullback(shear(True)).pullback(shear(False))
+         for row in range(1, 10)}
+for row, form in forms.items():
+    assert classify(form, s)[0] is TABLE1_CLASSES[row], row
+    if row <= 3:
+        assert split_pair(form, s).branch == ("hyperbolic" if row == 1 else "elliptic")
+        build_gcy(form, s)
+
+
+def run(argv, doc=None):
+    sys.stdin = io.StringIO(json.dumps(doc))
+    with redirect_stdout(io.StringIO()):
+        return cli.main(argv)
+
+
+nan = {"version": 1, "scalar": "float", "grade": 3,
+       "coefficients": {"123": float("nan"), "456": 1.0}}
+codes = {
+    "classify": run(["classify"], serialize_form(forms[5])),
+    "split": run(["split"], serialize_form(forms[2])),
+    "cs-regular": run(["check-solution", "--solution", "cs-regular"]),
+    "hess-one": run(["check-solution", "--solution", "hess-one"]),
+    "demo s6": run(["demo", "s6"]),
+    "nan probe": run(["classify", "--scalar", "float"], nan),
+}
+assert sys.modules["numpy"] is None
+print(json.dumps(codes))
+"""
+
+
+def test_exact_paths_run_without_numpy():
+    """numpy is imported only where arrays are computed: import ma6, exact
+    classify, split_pair and build_gcy on sheared table rows, and the exact
+    and pure-Python CLI commands run with numpy unimportable, and end with
+    their usual exit codes."""
+    import ma6
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ma6.__file__)))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_FREE_RUN], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"classify": 0, "split": 0, "cs-regular": 0,
+                                       "hess-one": 0, "demo s6": 0, "nan probe": 2}
 
 
 def test_cli_module_runs_once():

@@ -20,6 +20,7 @@ from ma6.fields import (
     FormField,
     MetricField,
     SectionMap,
+    _worst,
     check_generalized_solution,
     closedness_check,
     d_exact,
@@ -227,6 +228,25 @@ def test_generalized_solution_nan_residual_fails(space):
                                      sample_box([(0.5, 2)] * 3, 10, seed=0))
     assert not rep.passed
     assert math.isnan(rep.max_omega)
+
+
+# -0.0 is left out: where it ties 0.0, numpy's reduction returns either
+# zero; a residual is an absolute value and never -0.0
+_no_negative_zero = st.floats(allow_nan=False).filter(
+    lambda v: v != 0 or math.copysign(1, v) > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_no_negative_zero), st.data())
+def test_worst_matches_numpy_max(rs, data):
+    """_worst is numpy's max from 0.0, bitwise, in pure Python: 0.0 for no
+    residual, a generator read as a list, and NaN if any residual is NaN."""
+    want = float(np.max(np.asarray(rs, dtype=float), initial=0.0)).hex()
+    assert _worst(rs).hex() == want
+    assert _worst(r for r in rs).hex() == want
+    assert _worst(iter([])).hex() == (0.0).hex()
+    i = data.draw(st.integers(0, len(rs)))
+    assert math.isnan(_worst(r for r in rs[:i] + [math.nan] + rs[i:]))
 
 
 def _criterion_11_fields():
