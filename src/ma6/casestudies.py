@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 from .exterior import KForm
-from .fields import DiffeoMap, FormField, SectionMap, Submanifold3
+from .fields import DiffeoMap, FormField, SectionMap, Submanifold3, _worst
 from .octonion import Octonion, associative_form
 from .poly import Poly
 
@@ -190,12 +190,11 @@ def s6_invariant(x):
     Returns a dict with lambda, K (6x6 in the frame), the frame and the
     mult_residual comparing K to Y ↦ x·Y.
     """
-    from .hitchin import hitchin_k, pfaffian
+    from .hitchin import _lambda_of_k, hitchin_k
 
     omega, frame, ux = s6_form_at(x)
-    theta = KForm.basis(1, 2, 3, 4, 5, 6, scale=1.0)
-    lam = pfaffian(omega, theta)
-    K = hitchin_k(omega, theta)
+    K = hitchin_k(omega, KForm.basis(1, 2, 3, 4, 5, 6, scale=1.0))
+    lam = _lambda_of_k(K)
     # compare with left multiplication L_x on the tangent space
     ox = Octonion((0.0,) + tuple(ux))
     L = [[0.0] * 6 for _ in range(6)]
@@ -204,8 +203,8 @@ def s6_invariant(x):
         prod = (ox * ov).imag()
         for i in range(6):
             L[i][j] = sum(a * b for a, b in zip(prod, frame[i]))
-    res_plus = max(abs(K[i][j] - L[i][j]) for i in range(6) for j in range(6))
-    res_minus = max(abs(K[i][j] + L[i][j]) for i in range(6) for j in range(6))
+    res_plus = _worst(abs(K[i][j] - L[i][j]) for i in range(6) for j in range(6))
+    res_minus = _worst(abs(K[i][j] + L[i][j]) for i in range(6) for j in range(6))
     if res_minus < res_plus:
         # the frame orientation disagrees with the one fixing K = L_x;
         # flip the volume form (which flips K) instead of reordering

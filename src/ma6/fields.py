@@ -13,6 +13,7 @@ module, so exact work and pure-Python checks run without it.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
@@ -378,13 +379,11 @@ def check_generalized_solution(L, fld, s, params, tol=DEFAULT_TOL):
     ``params`` are parameter-space sample points; rank-deficient points are
     excluded and reported.
     """
-    import numpy as np
-
     lags, oms = [], []
     excluded = []
     for u in params:
         J = L.jacobian(u)
-        if np.linalg.matrix_rank(np.array(J, dtype=float), tol=1e-8) < 3:
+        if _rank(J, 1e-8) < 3:
             excluded.append(tuple(u))
             continue
         t = [[J[i][a] for i in range(DIM)] for a in range(3)]
@@ -395,6 +394,40 @@ def check_generalized_solution(L, fld, s, params, tol=DEFAULT_TOL):
     return SolutionReport(passed=(n > 0 and max_lag <= tol and max_om <= tol),
                           max_lagrangian=max_lag, max_omega=max_om,
                           n_points=n, excluded=excluded, tol=tol)
+
+
+def _rank(J, tol):
+    """The number of singular values of J (a list of rows) above tol.
+
+    One-sided Jacobi: plane rotations of pairs of columns until every pair
+    is orthogonal, when the column norms are the singular values.  JᵀJ is
+    never formed, so a singular value near tol keeps an error of about
+    machine precision times the largest, not its square root.  A NaN
+    singular value counts towards the rank, so a NaN Jacobian is checked
+    (and fails), not excluded.
+    """
+    cols = [[float(x) for x in c] for c in zip(*J)]
+    for _ in range(30):  # 3 columns converge in a handful of sweeps
+        rotated = False
+        for p in range(len(cols)):
+            for q in range(p + 1, len(cols)):
+                a, b = cols[p], cols[q]
+                aa = sum(x * x for x in a)
+                bb = sum(y * y for y in b)
+                ab = sum(x * y for x, y in zip(a, b))
+                if not abs(ab) > 1e-15 * math.sqrt(aa * bb):
+                    continue
+                # the rotation by the smaller root t of t² + 2ζt − 1 = 0
+                zeta = (bb - aa) / (2 * ab)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c = 1 / math.hypot(1.0, t)
+                s = c * t
+                cols[p] = [c * x - s * y for x, y in zip(a, b)]
+                cols[q] = [s * x + c * y for x, y in zip(a, b)]
+                rotated = True
+        if not rotated:
+            break
+    return sum(not math.sqrt(sum(x * x for x in c)) <= tol for c in cols)
 
 
 # --- pointwise invariants of a 3-form field -------------------------------

@@ -129,22 +129,30 @@ def compat_q_k(omega, s, K=None):
     return res
 
 
+# Bunch–Kaufman's α: a pivot d, the largest |diagonal| entry, no smaller
+# than α times the other entries of its row keeps each Schur complement's
+# entries within (1 + 1/α²) times the matrix's
+_PIVOT_ALPHA = (1 + math.sqrt(17)) / 8
+
+
 def signature(Q, tol=1e-9):
-    """Sylvester inertia of a symmetric quadratic form.
+    """Sylvester inertia of a symmetric quadratic form, by symmetric
+    elimination: each pivot's sign is one sign of the inertia, and its
+    Schur complement M − v·vᵀ/p (v the pivot's column) carries the rest.
+    When no diagonal entry serves as a pivot, M[i] += ±M[j] on rows and
+    columns makes one of size at least 2·|M[i][j]|.
 
-    Exact entries are diagonalized by symmetric congruence in Python ints
-    over their common denominator; float entries fall back to eigenvalue
-    signs with ``tol``.
+    Exact entries are eliminated in Python ints over their common
+    denominator.  With any float entry, an entry counts as zero when it is
+    ≤ tol·max(1, max|Q_ij|): the elimination pivots on the largest
+    |diagonal| entry when it is above that and at least α ≈ 0.64 times
+    every other |entry| of its row (Bunch–Kaufman), else manufactures a
+    pivot from the largest off-diagonal entry, and stops when every
+    remaining entry is zero.  A non-finite float entry raises ValueError.
     """
+    if any(isinstance(x, float) for row in Q.matrix for x in row):
+        return _float_signature(Q.matrix, tol)
     M = [list(row) for row in Q.matrix]
-    if any(isinstance(M[i][j], float) for i in range(DIM) for j in range(DIM)):
-        import numpy as np
-
-        eig = np.linalg.eigvalsh(np.array(M, dtype=float))
-        scale = max(1.0, float(abs(eig).max()))
-        pos = int((eig > tol * scale).sum())
-        neg = int((eig < -tol * scale).sum())
-        return Signature(pos, neg, DIM - pos - neg)
     # clear the denominators, then eliminate in ints: each pivot's Schur
     # complement is scaled by |pivot|, which keeps its inertia and its
     # entries ints, and divided by the gcd of its entries
@@ -155,18 +163,11 @@ def signature(Q, tol=1e-9):
         n = len(M)
         piv = next((i for i in range(n) if M[i][i]), None)
         if piv is None:
-            # manufacture one: M[i] += M[j] on rows and columns makes
-            # M[i][i] = 2·M[i][j]
             pair = next(((i, j) for i in range(n) for j in range(i + 1, n) if M[i][j]),
                         None)
             if pair is None:
                 break
-            i, j = pair
-            for c in range(n):
-                M[i][c] += M[j][c]
-            for c in range(n):
-                M[c][i] += M[c][j]
-            piv = i
+            piv = _add_row_col(M, *pair, 1)
         row = M[piv]
         p = row[piv]
         if p > 0:
@@ -180,6 +181,50 @@ def signature(Q, tol=1e-9):
         g = math.gcd(*(x for r in M for x in r))
         if g > 1:
             M = [[x // g for x in r] for r in M]
+    return Signature(pos, neg, len(M))
+
+
+def _add_row_col(M, i, j, sign):
+    """M[i] += sign·M[j] on rows and then columns, a congruence that makes
+    M[i][i] = M[i][i] + 2·sign·M[i][j] + M[j][j]; returns i."""
+    for c in range(len(M)):
+        M[i][c] += sign * M[j][c]
+    for c in range(len(M)):
+        M[c][i] += sign * M[c][j]
+    return i
+
+
+def _float_signature(M, tol):
+    """The float branch of `signature`."""
+    M = [list(map(float, row)) for row in M]  # a float Q may hold exact zeros
+    flat = [x for row in M for x in row]
+    # a sum is finite only if every entry is; one that overflows is rechecked
+    if not math.isfinite(sum(flat)) and not all(map(math.isfinite, flat)):
+        raise ValueError("signature of a form with a non-finite entry")
+    zero = tol * max(1.0, max(flat), -min(flat))
+    pos = neg = 0
+    while M:
+        diag = [abs(row[k]) for k, row in enumerate(M)]
+        d = max(diag)
+        piv = diag.index(d)
+        # d < α·max|row| only if some other entry of the row exceeds d/α
+        if d <= zero or d < _PIVOT_ALPHA * max(map(abs, M[piv])):
+            off, i, j = max(((abs(M[i][j]), i, j) for i in range(len(M))
+                             for j in range(i + 1, len(M))), default=(0.0, 0, 0))
+            if off <= zero:
+                break
+            # the sign that adds 2·|M[i][j]| to |M[i][i] + M[j][j]|
+            piv = _add_row_col(M, i, j, 1 if (M[i][i] + M[j][j] >= 0) == (M[i][j] > 0)
+                               else -1)
+        row = M.pop(piv)
+        p = row.pop(piv)
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        # the Schur complement M − v·vᵀ/p, v = row
+        cs = [r.pop(piv) / p for r in M]
+        M = [[m - c * b for m, b in zip(r, row)] for r, c in zip(M, cs)]
     return Signature(pos, neg, len(M))
 
 

@@ -1,11 +1,16 @@
-"""Octonion arithmetic via the Cayley-Dickson doubling of the quaternions,
-and the associative 3-form on the imaginary octonions.
+"""Octonion arithmetic, and the associative 3-form on the imaginary octonions.
 
-An octonion is stored as 8 real components (1, e1..e7) with the doubling
-product (a, b)(c, d) = (ac − d̄b, da + bc̄) applied twice starting from ℝ.
+An octonion is stored as 8 real components (1, e1..e7).  The product is
+read from one 8×8 table, e_i·e_j = ±e_k, built on first use by applying
+the Cayley-Dickson doubling product (a, b)(c, d) = (ac − d̄b, da + bc̄),
+three times from ℝ, to the basis units.  A product of two octonions is
+then the 64 terms ±x_i·y_j, each added to its component k; on exact
+(Fraction) components it equals the doubling rule's exactly.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 
 class Octonion:
@@ -44,7 +49,7 @@ class Octonion:
     def __mul__(self, other):
         if not isinstance(other, Octonion):
             return Octonion([a * other for a in self.c])
-        return _cd_mul(self.c, other.c)
+        return Octonion(_table_mul(self.c, other.c))
 
     def __eq__(self, other):
         return isinstance(other, Octonion) and self.c == other.c
@@ -76,7 +81,8 @@ def _conj_pair(x):
 
 
 def _mul_pair(x, y):
-    """Cayley-Dickson product on tuples of length 1, 2, 4 or 8."""
+    """Cayley-Dickson product on tuples of length 1, 2, 4 or 8; generates
+    the multiplication table."""
     n = len(x)
     if n == 1:
         return (x[0] * y[0],)
@@ -97,8 +103,32 @@ def _sub(x, y):
     return tuple(a - b for a, b in zip(x, y))
 
 
-def _cd_mul(x, y):
-    return Octonion(_mul_pair(x, y))
+@lru_cache(maxsize=None)
+def _table():
+    """The table of (k, sign) at [i][j] with e_i·e_j = sign·e_k; built on
+    first use, not at import, which every CLI command pays."""
+    units = [tuple(int(i == j) for j in range(8)) for i in range(8)]
+    table = []
+    for x in units:
+        row = []
+        for y in units:
+            p = _mul_pair(x, y)
+            k = next(k for k in range(8) if p[k])
+            row.append((k, p[k]))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _table_mul(x, y):
+    """The 8 components of the product of component tuples x and y."""
+    out = [0] * 8
+    for xi, row in zip(x, _table()):
+        for yj, (k, sign) in zip(y, row):
+            if sign > 0:
+                out[k] += xi * yj
+            else:
+                out[k] -= xi * yj
+    return out
 
 
 def associative_form(x, y, z):
@@ -107,10 +137,12 @@ def associative_form(x, y, z):
     x, y, z are 7-tuples of imaginary components; returns a scalar.  This is
     the standard G2-invariant 3-form of the octonion product.
     """
-    ox = Octonion((0,) + tuple(x))
-    oy = Octonion((0,) + tuple(y))
-    oz = Octonion((0,) + tuple(z))
-    return ox.inner(oy * oz)
+    t = 0
+    for yb, row in zip(y, _table()[1:]):
+        for zc, (k, sign) in zip(z, row[1:]):
+            if k:  # e_b·e_c is real (−1) only for b = c, and x has no real part
+                t += sign * x[k - 1] * yb * zc
+    return t
 
 
 def cross(x, y):

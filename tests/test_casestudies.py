@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ma6
 
@@ -41,6 +42,38 @@ def test_octonion_norm_multiplicative(rng):
         a = Octonion([Fraction(rng.randint(-3, 3)) for _ in range(8)])
         b = Octonion([Fraction(rng.randint(-3, 3)) for _ in range(8)])
         assert (a * b).norm_sq() == a.norm_sq() * b.norm_sq()
+
+
+def doubling_product(x, y):
+    """The Cayley-Dickson product (a, b)(c, d) = (ac − d̄b, da + bc̄) on
+    tuples of length 1, 2, 4 or 8: the reference for the table product."""
+    if len(x) == 1:
+        return (x[0] * y[0],)
+
+    def conj(v):
+        return (v[0],) + tuple(-t for t in v[1:])
+
+    h = len(x) // 2
+    a, b, c, d = x[:h], x[h:], y[:h], y[h:]
+    left = [p - q for p, q in zip(doubling_product(a, c), doubling_product(conj(d), b))]
+    right = [p + q for p, q in zip(doubling_product(d, a), doubling_product(b, conj(c)))]
+    return tuple(left + right)
+
+
+_octonions = st.lists(st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
+                      min_size=8, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_octonions, y=_octonions, z=_octonions)
+def test_table_product_is_doubling_rule(x, y, z):
+    """The table product, and the associative form read off the same table,
+    equal the doubling rule exactly on Fraction octonions; |xy|² = |x|²|y|²."""
+    ox, oy = Octonion(x), Octonion(y)
+    assert (ox * oy).c == doubling_product(tuple(x), tuple(y))
+    assert (ox * oy).norm_sq() == ox.norm_sq() * oy.norm_sq()
+    yz = doubling_product((0,) + tuple(y[1:]), (0,) + tuple(z[1:]))
+    assert associative_form(x[1:], y[1:], z[1:]) == sum(a * b for a, b in zip(x[1:], yz[1:]))
 
 
 def test_octonion_quaternion_subalgebra():

@@ -268,6 +268,28 @@ def test_cli_demo_s6_nan_fails(monkeypatch):
                                  "max_octonion_multiplication_residual": 1e-8}
 
 
+def test_s6_nan_in_k_reaches_multiplication_residual(monkeypatch):
+    """A NaN at K[2][4] of Hitchin's K is the octonion-multiplication
+    residual of s6_invariant, not dropped by a max, and fails demo s6."""
+    from ma6 import hitchin
+
+    hitchin_k = hitchin.hitchin_k
+
+    def with_nan(omega, theta):
+        K = hitchin_k(omega, theta)
+        K[2][4] = float("nan")
+        return K
+
+    monkeypatch.setattr(hitchin, "hitchin_k", with_nan)
+    assert math.isnan(casestudies.s6_invariant([0.3, -1.0, 0.2, 0.5, 0.1, 0.7, -0.4])
+                      ["mult_residual"])
+    code, out = run_cli(["demo", "s6", "--samples", "3"])
+    rep = json.loads(out)
+    assert code == 1
+    assert rep["passed"] is False
+    assert math.isnan(rep["max_octonion_multiplication_residual"])
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(-1e3, 1e3), min_size=9, max_size=9))
 def test_det3_matches_numpy(entries):
@@ -346,6 +368,7 @@ import ma6
 from ma6 import cli
 from ma6.classify import TABLE1_CLASSES, build_gcy, classify, table1_form
 from ma6.documents import serialize_form
+from ma6.exterior import KForm
 from ma6.hitchin import split_pair
 from ma6.symplectic import standard_space
 
@@ -382,8 +405,15 @@ def run(argv, doc=None):
 
 nan = {"version": 1, "scalar": "float", "grade": 3,
        "coefficients": {"123": float("nan"), "456": 1.0}}
+near = {"version": 1, "scalar": "float", "grade": 3,
+        "coefficients": {"234": 1 + 1e-5, "135": -1e-5, "126": 1e-5}}
 codes = {
     "classify": run(["classify"], serialize_form(forms[5])),
+    "classify float": run(["classify", "--scalar", "float"],
+                          serialize_form(KForm(3, [float(c) for c in forms[5].coeffs]))),
+    "near-boundary probe": run(["classify", "--scalar", "float"], near),
+    "cs-generalized": run(["check-solution", "--solution", "cs-generalized"]),
+    "demo cs": run(["demo", "cs"]),
     "split": run(["split"], serialize_form(forms[2])),
     "cs-regular": run(["check-solution", "--solution", "cs-regular"]),
     "hess-one": run(["check-solution", "--solution", "hess-one"]),
@@ -397,17 +427,21 @@ print(json.dumps(codes))
 
 def test_exact_paths_run_without_numpy():
     """numpy is imported only where arrays are computed: import ma6, exact
-    classify, split_pair and build_gcy on sheared table rows, and the exact
-    and pure-Python CLI commands run with numpy unimportable, and end with
-    their usual exit codes."""
+    classify, split_pair and build_gcy on sheared table rows, and every
+    command of the benchmark's cli cycle (exact and float classify, the
+    near-boundary and NaN probes, split, the solution checks and both
+    demos) run with numpy unimportable, and end with their usual exit
+    codes."""
     import ma6
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ma6.__file__)))
     proc = subprocess.run([sys.executable, "-c", NUMPY_FREE_RUN], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"classify": 0, "split": 0, "cs-regular": 0,
-                                       "hess-one": 0, "demo s6": 0, "nan probe": 2}
+    assert json.loads(proc.stdout) == {
+        "classify": 0, "classify float": 0, "near-boundary probe": 4,
+        "cs-generalized": 0, "demo cs": 0, "split": 0, "cs-regular": 0,
+        "hess-one": 0, "demo s6": 0, "nan probe": 2}
 
 
 def test_cli_module_runs_once():

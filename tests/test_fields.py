@@ -20,6 +20,7 @@ from ma6.fields import (
     FormField,
     MetricField,
     SectionMap,
+    _rank,
     _worst,
     check_generalized_solution,
     closedness_check,
@@ -147,6 +148,28 @@ def test_rank_deficient_points_excluded(space):
                                      sample_box([(0, 1)] * 3, 5, seed=1))
     assert not rep.passed
     assert len(rep.excluded) == 5
+
+
+@st.composite
+def _jacobian(draw):
+    """U·diag(σ)·Vᵀ, 6×3, U and V with random orthonormal columns, each σ
+    either at most 1e-9 (or 0) or at least 1e-7, up to 10."""
+    sigma = [draw(st.one_of(st.just(0.0),
+                            st.builds(lambda u: 10.0 ** u, st.floats(-14, -9)),
+                            st.builds(lambda u: 10.0 ** u, st.floats(-7, 1))))
+             for _ in range(3)]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    U = np.linalg.qr(rng.standard_normal((6, 3)))[0]
+    V = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    return U @ np.diag(sigma) @ V.T
+
+
+@settings(max_examples=300, deadline=None)
+@given(J=_jacobian())
+def test_jacobian_rank_matches_numpy(J):
+    """The one-sided Jacobi rank equals the SVD rank at tol 1e-8, on
+    Jacobians of rank 0-3 with no singular value in [1e-9, 1e-7]."""
+    assert _rank(J.tolist(), 1e-8) == np.linalg.matrix_rank(J, tol=1e-8)
 
 
 def test_lambda_field_degenerate_raises(space):

@@ -1,6 +1,7 @@
 """The quadratic invariant, its compatibility with the K-map, Sylvester
 signatures, the characteristic pencil, and sp(3) membership."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -10,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 from ma6.exterior import KForm, interior_vector, wedge
 from ma6.hitchin import _k_table, hitchin_k
 import ma6.lr
+from ma6.classify import table1_form
 from ma6.lr import (
     COMPAT_SCALE,
     QuadForm6,
+    Signature,
     char_pencil,
     compat_q_k,
     in_sp3,
@@ -22,7 +25,13 @@ from ma6.lr import (
 )
 from ma6.symplectic import EffectivenessError, bot, is_effective, project_effective, top
 
-from conftest import rand_effective, rand_form, rand_vector, reference_signature
+from conftest import (
+    rand_effective,
+    rand_form,
+    rand_vector,
+    reference_signature,
+    sheared_float_form,
+)
 
 
 def test_q_of_product_anchor(space):
@@ -205,6 +214,84 @@ def test_signature_matches_fraction_elimination(Q):
     congruence diagonalization, on matrices of every rank 0-6, with and
     without a zero diagonal."""
     assert signature(Q) == reference_signature(Q)
+
+
+def eigvalsh_signature(Q, tol=1e-9):
+    """The eigenvalue rule for float inertia: signs of the eigenvalues
+    beyond tol·max(1, max|eigenvalue|)."""
+    eig = np.linalg.eigvalsh(np.array(Q.matrix, dtype=float))
+    scale = max(1.0, float(np.abs(eig).max()))
+    pos = int((eig > tol * scale).sum())
+    neg = int((eig < -tol * scale).sum())
+    return Signature(pos, neg, 6 - pos - neg)
+
+
+@st.composite
+def _rotated_diagonal(draw):
+    """Uᵀ·diag(d)·U for a random orthogonal U: each d_k is 0 plus noise of
+    at most 1e-13, or ±S·10^u with u in [−6, 0], S = 10^k, k in [0, 3]."""
+    S = 10.0 ** draw(st.floats(0, 3))
+    d = [draw(st.one_of(
+        st.floats(-1e-13, 1e-13),
+        st.builds(lambda sign, u: sign * S * 10.0 ** u,
+                  st.sampled_from([1.0, -1.0]), st.floats(-6, 0))))
+         for _ in range(6)]
+    U = np.linalg.qr(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+                     .standard_normal((6, 6)))[0]
+    M = U.T @ np.diag(d) @ U
+    return QuadForm6(tuple(map(tuple, ((M + M.T) / 2).tolist())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(Q=_rotated_diagonal())
+def test_float_signature_matches_eigenvalues(Q):
+    """The float elimination reads the inertia the eigenvalues give, with
+    zero eigenvalues blurred by rounding and nonzero ones down to 10⁻⁶ of
+    the largest."""
+    assert signature(Q) == eigvalsh_signature(Q)
+
+
+def test_float_signature_sheared_table_rows(space):
+    """Table rows 1-9 in floats, sheared: the elimination agrees with the
+    eigenvalue rule and with the printed signature's rank."""
+    rng = random.Random(11)
+    for row in range(1, 10):
+        for _ in range(5):
+            Q = q_form(sheared_float_form(table1_form(row), rng), space)
+            assert signature(Q) == eigvalsh_signature(Q), row
+
+
+def test_float_signature_near_boundary_probe(space):
+    """SecondDerivative + 1e-5·Laplace: eigenvalues −1e-5, −1e-5, −1e-10,
+    0, 0, 0, the −1e-10 only 10× below the zero threshold 1e-9."""
+    omega = (KForm.basis(2, 3, 4, scale=1 + 1e-5) + KForm.basis(1, 3, 5, scale=-1e-5)
+             + KForm.basis(1, 2, 6, scale=1e-5))
+    Q = q_form(omega, space)
+    assert signature(Q) == eigvalsh_signature(Q) == Signature(0, 2, 4)
+
+
+@pytest.mark.parametrize("delta", [1.1e-9, 1.5e-9, 3e-9, 1e-8])
+@pytest.mark.parametrize("c", [0.1, 1 / 3, 0.7, 0.9, 1 / 7, 2 / 3])
+def test_float_signature_small_diagonal_pivot(delta, c):
+    """Rows (δ, 1, c), (1, 0, 0), (c, 0, 0): rank 2, signature (1, 1).  A
+    pivot on δ, above the zero threshold but far below the off-diagonal
+    entries, would leave the rank-deficient complement −c²/δ + c²/δ with
+    rounding above the threshold; the pivot made from the off-diagonal 1
+    does not."""
+    M = [[0.0] * 6 for _ in range(6)]
+    M[0][0] = delta
+    M[0][1] = M[1][0] = 1.0
+    M[0][2] = M[2][0] = c
+    Q = QuadForm6(tuple(map(tuple, M)))
+    assert signature(Q) == eigvalsh_signature(Q) == Signature(1, 1, 4)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_float_signature_non_finite_raises(bad):
+    M = [[float(i == j) for j in range(6)] for i in range(6)]
+    M[2][4] = M[4][2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        signature(QuadForm6(tuple(map(tuple, M))))
 
 
 def test_char_pencil_coefficients(space, rng):
