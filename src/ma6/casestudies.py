@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exterior import KForm
+from .exterior import COMBS, KForm
 from .fields import DiffeoMap, FormField, SectionMap, Submanifold3, _worst
-from .octonion import Octonion, associative_form
 from .poly import Poly
 
 
@@ -168,11 +167,11 @@ def tangent_frame(x):
 def s6_form_at(x):
     """The 3-form 2^(−1/2) φ restricted to the tangent space at x ∈ S⁶,
     expressed in an orthonormal frame; returns (form, frame, unit_x)."""
+    from .octonion import associative_form
+
     x, frame = tangent_frame(x)
     coeffs = []
     inv_sqrt2 = 1 / math.sqrt(2)
-    from .exterior import COMBS
-
     for idx in COMBS[3]:
         i, j, k = idx
         coeffs.append(inv_sqrt2 * associative_form(
@@ -191,6 +190,7 @@ def s6_invariant(x):
     mult_residual comparing K to Y ↦ x·Y.
     """
     from .hitchin import _lambda_of_k, hitchin_k
+    from .octonion import Octonion
 
     omega, frame, ux = s6_form_at(x)
     K = hitchin_k(omega, KForm.basis(1, 2, 3, 4, 5, 6, scale=1.0))

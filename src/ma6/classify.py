@@ -9,8 +9,8 @@ Monge-Ampère equations they represent.  The classifier reads the pair
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exterior import DIM, POS, KForm, _all_rational, _cleared, _kform, dim_grade
 from .symplectic import EffectivenessError, effective_tol, is_effective
@@ -44,8 +44,7 @@ class UnclassifiableError(ValueError):
     """Signature pattern outside the classification table's convention."""
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     lambda_: object
     signature: Signature
     effective: bool
@@ -183,8 +182,7 @@ def classify(omega, s, tol=0):
         f"λ = 0 with signature rank {rank} is outside the table's convention")
 
 
-@dataclass(frozen=True)
-class GczStructure:
+class GczStructure(NamedTuple):
     """Pointwise generalized almost Calabi-Yau data (g, Ω, K, α, β)."""
 
     g: QuadForm6

@@ -14,35 +14,17 @@ import math
 import sys
 from fractions import Fraction
 
-from . import casestudies
-from .classify import UnclassifiableError, build_gcy, classify, table1_form
+from .classify import UnclassifiableError, build_gcy, classify
 from .documents import (
     DocumentError,
+    _jsonable,
     dump_report,
     is_field_document,
     parse_field,
     parse_form,
-    serialize_field,
     serialize_form,
 )
 from .exterior import KForm
-from .fields import (
-    BranchChangeError,
-    CURVATURE_TOL,
-    DEFAULT_H,
-    DEFAULT_TOL,
-    DegeneratePointError,
-    FormField,
-    MetricField,
-    SectionMap,
-    _worst,
-    check_generalized_solution,
-    closedness_check,
-    flatness_check,
-    gcy_integrability_check,
-    ma_operator,
-    sample_box,
-)
 from .hitchin import (
     DegenerateFormError,
     ExactnessError,
@@ -51,8 +33,17 @@ from .hitchin import (
     _split,
     hitchin_k,
 )
-from .poly import Poly
-from .symplectic import EffectivenessError, project_effective, standard_space
+from .symplectic import (
+    CURVATURE_TOL,
+    DEFAULT_H,
+    DEFAULT_TOL,
+    EffectivenessError,
+    project_effective,
+    standard_space,
+)
+
+# fields, poly and casestudies are imported by the subcommands that use
+# them, so classify and split load none of the three
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -119,6 +110,9 @@ def _load_field(path):
     """A 3-form field document, or a form document read as a constant field.
     A field is evaluated in floats, so its constants and polynomial
     coefficients are held to FLOAT_COEFF_MAX."""
+    from .fields import FormField
+    from .poly import Poly
+
     doc = _read_doc(path)
     try:
         fld = (parse_field(doc) if is_field_document(doc)
@@ -132,13 +126,16 @@ def _load_field(path):
 
 
 def _parse_box(text, dims):
-    """A box: 'lo,hi' applied to every axis, or ';'-separated per-axis pairs."""
+    """A box: 'lo,hi' applied to every axis, or ';'-separated per-axis pairs,
+    each bound finite."""
     try:
         pairs = [tuple(float(v) for v in part.split(",")) for part in text.split(";")]
         if any(len(p) != 2 for p in pairs):
             raise ValueError
     except ValueError:
         raise CliError(EXIT_INVALID, f"bad box {text!r}; use 'lo,hi' or 'lo,hi;...'")
+    if not all(math.isfinite(v) for p in pairs for v in p):
+        raise CliError(EXIT_INVALID, f"box bounds must be finite, got {text!r}")
     if len(pairs) == 1:
         pairs = pairs * dims
     if len(pairs) != dims:
@@ -155,8 +152,6 @@ def _emit(report, fmt, out=None):
 
 
 def _emit_text(report, out, indent=""):
-    from .documents import _jsonable
-
     obj = _jsonable(report)
 
     def walk(o, ind):
@@ -273,6 +268,9 @@ def _check_domain(solution, points):
 
 
 def _builtin_section(args):
+    from . import casestudies
+    from .fields import FormField
+
     if args.solution == "cs-regular":
         return casestudies.cs_regular_solution(), \
             FormField.constant(casestudies.cs_form(0.0))
@@ -290,6 +288,10 @@ def _det3(H):
 
 
 def cmd_check_solution(args):
+    from . import casestudies
+    from .fields import (FormField, SectionMap, _worst, check_generalized_solution,
+                         ma_operator, sample_box)
+
     fld = None if args.input is None else _load_field(args.input)
     s = standard_space()
     rng_box = _parse_box(args.box, 3)
@@ -333,6 +335,10 @@ def cmd_check_solution(args):
 
 
 def cmd_check_structure(args):
+    from .fields import (BranchChangeError, DegeneratePointError, MetricField,
+                         closedness_check, flatness_check, gcy_integrability_check,
+                         sample_box)
+
     s = standard_space()
     fld = _load_field(args.input)
     box = _parse_box(args.box, 6)
@@ -376,12 +382,15 @@ def cmd_demo(args):
 
 
 def _demo_cs(args):
+    from . import casestudies
+    from .fields import (FormField, _worst, check_generalized_solution,
+                         is_symplectomorphism, ma_operator, pullback_field_poly,
+                         sample_box)
+
     s = standard_space()
     g = Fraction(args.gamma)  # the float's exact value
     form = casestudies.cs_form(g)
     phi = casestudies.cs_reduction(g)
-    from .fields import is_symplectomorphism, pullback_field_poly
-
     pb = pullback_field_poly(phi, FormField.constant(form))
     reduced_ok = pb.evaluate([0] * 6) == casestudies.hess_one_form() and \
         all(len(getattr(p, "terms", {0: 0})) <= 1 for p in pb.coeffs)
@@ -428,6 +437,9 @@ _S6_TOLERANCES = {"max_abs_lambda_plus_1": 1e-9,
 
 def _demo_s6(args):
     import random
+
+    from . import casestudies
+    from .fields import _worst
 
     rng = random.Random(args.seed)
     lams, k2s, muls = [], [], []

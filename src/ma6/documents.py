@@ -20,8 +20,6 @@ import math
 from fractions import Fraction
 
 from .exterior import COMBS, DIM, ExactComplex, KForm, POS, dim_grade
-from .fields import FormField
-from .poly import Poly
 
 VERSION = 1
 
@@ -118,6 +116,8 @@ def serialize_form(form, mode=None):
 
 
 def _parse_poly(pmap):
+    from .poly import Poly
+
     if not isinstance(pmap, dict):
         raise DocumentError("polynomial must be an object")
     terms = {}
@@ -141,6 +141,9 @@ def _emit_poly(p):
 
 def parse_field(doc):
     """Field document (polynomial coefficients) -> FormField."""
+    from .fields import FormField
+    from .poly import Poly
+
     grade = _check_header(doc, "field document")
     mode = doc.get("scalar", "exact")
     if mode != "exact":
@@ -156,6 +159,8 @@ def parse_field(doc):
 
 
 def serialize_field(fld):
+    from .poly import Poly
+
     if not fld.is_polynomial():
         raise DocumentError("only polynomial fields serialize")
     cmap = {}
@@ -187,6 +192,8 @@ def _jsonable(v):
         return {"re": str(v.re), "im": str(v.im)}
     if isinstance(v, KForm):
         return serialize_form(v)
+    if hasattr(v, "_asdict"):  # a report, a NamedTuple: by field name
+        return _jsonable(v._asdict())
     if isinstance(v, dict):
         return {str(k): _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):

@@ -15,16 +15,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .exterior import COMBS, DIM, KForm, POS, dim_grade, merge_sign
 from .hitchin import _derivation_table, _k_table, _pieces_pairing, pfaffian, theta_pairing
 from .poly import Poly
-
-DEFAULT_H = 1e-4
-DEFAULT_TOL = 1e-6
-CURVATURE_TOL = 1e-5
+from .symplectic import CURVATURE_TOL, DEFAULT_H, DEFAULT_TOL
 
 
 class BranchChangeError(ValueError):
@@ -363,14 +360,13 @@ def _worst(residuals):
     return worst
 
 
-@dataclass
-class SolutionReport:
+class SolutionReport(NamedTuple):
     passed: bool
     max_lagrangian: float
     max_omega: float
     n_points: int
-    excluded: list = dc_field(default_factory=list)
-    tol: float = DEFAULT_TOL
+    excluded: list
+    tol: float
 
 
 def check_generalized_solution(L, fld, s, params, tol=DEFAULT_TOL):
@@ -530,13 +526,12 @@ def _structure_pass(fld, s, points, h):
     return result
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     passed: bool
     max_residual: float
     n_points: int
     tol: float
-    details: dict = dc_field(default_factory=dict)
+    details: dict
 
 
 def closedness_check(fld, s, points, h=DEFAULT_H, tol=DEFAULT_TOL):
@@ -718,7 +713,7 @@ def flatness_check(g, points, h=DEFAULT_H, tol=CURVATURE_TOL):
     """Flat iff every curvature component is ≤ tol at every sample point."""
     worst = _worst(abs(riemann(g, x, h)).max() for x in points)
     return CheckReport(passed=worst <= tol, max_residual=worst,
-                       n_points=len(points), tol=tol)
+                       n_points=len(points), tol=tol, details={})
 
 
 def sample_box(box, n, seed=0):

@@ -11,15 +11,14 @@ pencil gives q_ω independently of K, and `compat_q_k` compares the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exterior import DIM, _bot_table, interior_vector, wedge
 from .symplectic import EFFECTIVE_TOL, EffectivenessError, is_effective
 from .hitchin import _k_table, hitchin_k
 
 
-@dataclass(frozen=True)
-class QuadForm6:
+class QuadForm6(NamedTuple):
     """Symmetric 6x6 quadratic form; Q(X) = Xᵀ Q X."""
 
     matrix: tuple
@@ -30,8 +29,7 @@ class QuadForm6:
                    for i in range(DIM) for j in range(DIM))
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     pos: int
     neg: int
     zero: int
@@ -41,8 +39,7 @@ class Signature:
         return self.pos + self.neg
 
 
-@dataclass(frozen=True)
-class CubicPencil:
+class CubicPencil(NamedTuple):
     """Coefficients of ξ ↦ (i_Xω − ξΩ)³ / Ω³ as a cubic in ξ."""
 
     c3: object

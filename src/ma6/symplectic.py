@@ -106,6 +106,11 @@ def bot(s, omega):
 
 
 EFFECTIVE_TOL = 1e-9  # of |⊥ω| per 1 + |ω|, as ⊥ is linear in ω
+# the field checks' defaults (and the CLI's): finite-difference step, residual
+# tolerance, and the tolerance on the curvature of the q-metric
+DEFAULT_H = 1e-4
+DEFAULT_TOL = 1e-6
+CURVATURE_TOL = 1e-5
 
 
 def effective_tol(omega):
