@@ -12,7 +12,7 @@ import enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exterior import DIM, POS, KForm, _all_rational, _cleared, _kform, dim_grade
+from .exterior import DIM, POS, KForm, _all_rational, _bot_table, _cleared, _kform, dim_grade
 from .symplectic import EffectivenessError, effective_tol, is_effective
 from .hitchin import (
     DegenerateFormError,
@@ -25,7 +25,7 @@ from .hitchin import (
     _split,
     hitchin_k,
 )
-from .lr import QuadForm6, Signature, _kt_a, _q_of_k, signature
+from .lr import QuadForm6, Signature, _int_signature, _q_of_k, signature
 
 
 class OrbitClass(enum.Enum):
@@ -115,40 +115,56 @@ TABLE1_CLASSES = {
 
 
 def _exact_invariants(omega, s):
-    """(λ, inertia of q_ω) for an effective rational ω on a rational space,
-    in ints over the cleared coefficients.
+    """(λ, inertia of q_ω) for a rational 3-form ω on a rational space, in
+    one int pass over ω = w/d, its coefficients cleared once; raises
+    EffectivenessError unless ⊥ω = 0.
 
+    ⊥ω is zero iff the ⊥ table's int sums at X_Ω's stored ints and w are.
     The K table gives θ·K = N/den in ints.  With θ = a/b and c = den·a,
     K = b·N/c, so λ = tr(K²)/6 = b²·tr(N²)/(6c²).  With A = A'/e the matrix
-    of Ω over its common denominator, Q = (KᵀA + AᵀK)/4 = b/(4ce)·S for the
-    int matrix S = NᵀA' + A'ᵀN, whose inertia is Q's, with pos and neg
-    swapped when c < 0.
+    of Ω over its common denominator, stored as A''s nonzero entries,
+    Q = (KᵀA + AᵀK)/4 = b/(4ce)·S for the int matrix S = NᵀA' + A'ᵀN,
+    whose inertia is Q's, with pos and neg swapped when c < 0.
     """
-    N, den = _k_table().rational(omega.coeffs)
-    N = [N[DIM * i:DIM * (i + 1)] for i in range(DIM)]
+    d, w = _cleared(omega.coeffs)
+    if any(_bot_table(3).int_sums(s.x_omega_ints, w)):
+        raise EffectivenessError("classification requires an effective 3-form")
+    table = _k_table()
+    N = table.int_sums(w)
     theta = s.theta.coeffs[0]
-    c = den * theta.numerator
+    c = table.den * d * d * theta.numerator
     lam = Fraction(theta.denominator ** 2
-                   * sum(N[i][k] * N[k][i] for i in range(DIM) for k in range(DIM)),
+                   * sum(N[DIM * i + k] * N[DIM * k + i] for i in range(DIM) for k in range(DIM)),
                    6 * c * c)
-    _, A = _cleared([a for row in s.matrix for a in row])
-    M = _kt_a(N, [A[DIM * i:DIM * (i + 1)] for i in range(DIM)])
-    sig = signature(QuadForm6([[M[i][j] + M[j][i] for j in range(DIM)]
-                               for i in range(DIM)]))
+    M = [[0] * DIM for _ in range(DIM)]  # NᵀA'
+    for k, j, a in s.matrix_terms:
+        for i in range(DIM):
+            M[i][j] += N[DIM * k + i] * a
+    sig = _int_signature([[M[i][j] + M[j][i] for j in range(DIM)] for i in range(DIM)])
     if c < 0:
         sig = Signature(sig.neg, sig.pos, sig.zero)
     return lam, sig
 
 
 def classify(omega, s, tol=0):
-    """Map an effective 3-form to its orbit class and invariant report."""
+    """Map an effective 3-form to its orbit class and invariant report.
+
+    The class is read off (sign λ, inertia of q_ω).  A rational ω on a
+    rational space, with no tol, takes one int pass, `_exact_invariants`:
+    ω is cleared once, and the ⊥ guard, λ and the inertia of q_ω come from
+    the space's stored A′ and X_Ω ints.  Any other input passes the
+    effectiveness guard with tol (or the float rule) and takes λ and q_ω
+    from one K.  Raises EffectivenessError for a form that is not
+    effective, UnclassifiableError for a signature the table has no class
+    for."""
     rule = effective_tol(omega)
     eff_tol = tol or rule
-    if not is_effective(s, omega, tol=eff_tol):
-        raise EffectivenessError("classification requires an effective 3-form")
-    if _all_rational(omega.coeffs) and _all_rational(s.omega.coeffs):
+    if (not eff_tol and omega.grade == 3 and s.matrix_terms is not None
+            and _all_rational(omega.coeffs)):
         lam, sig = _exact_invariants(omega, s)
     else:
+        if not is_effective(s, omega, tol=eff_tol):
+            raise EffectivenessError("classification requires an effective 3-form")
         K = hitchin_k(omega, s)
         lam = _lambda_of_k(K)
         if _lambda_is_zero(lam, omega):

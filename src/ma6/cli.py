@@ -64,7 +64,8 @@ def _read_doc(path):
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: not JSON, not UTF-8, or
+        # a JSON number longer than sys.get_int_max_str_digits()
         raise CliError(EXIT_INVALID, f"cannot read input: {e}")
 
 
@@ -552,10 +553,13 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         report, code = args.fn(args)
+        _emit(report, args.format)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    _emit(report, args.format)
+    except DocumentError as e:  # a report number too long to print
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INVALID
     return code
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 from .exterior import COMBS, DIM, ExactComplex, KForm, POS, dim_grade
@@ -32,10 +33,31 @@ class DocumentError(ValueError):
     """Malformed input document."""
 
 
+def _check_exponent(v):
+    """Reject a rational string, like "1.5e-7", whose exponent expands it to
+    more digits than sys.get_int_max_str_digits(), the limit that Python
+    already applies to a plain digit string (0, no limit, rejects none)."""
+    limit = sys.get_int_max_str_digits()
+    mantissa, e, exp = v.strip().replace("_", "").lower().partition("e")
+    sign = -1 if exp[:1] == "-" else 1
+    digits = exp[1:] if exp[:1] in ("+", "-") else exp
+    if not (limit and e and digits.isdecimal()):
+        return  # no exponent, or a string that Fraction rejects
+    digits = digits.lstrip("0")
+    head, _, tail = mantissa.lstrip("+-").lstrip("0").partition(".")
+    # the value is mantissa·10^shift: 10^|shift| has |shift| + 1 digits, and
+    # the numerator or the denominator at most |shift| + len(mantissa)
+    if len(digits) > len(str(limit)) \
+            or max(len(head + tail), 1) + abs(sign * int(digits or "0") - len(tail)) > limit:
+        raise DocumentError(f"rational {v!r} expands to more than {limit} digits")
+
+
 def _parse_scalar(v, mode):
     if mode == "exact":
         if isinstance(v, bool) or not isinstance(v, (str, int)):
             raise DocumentError(f"exact mode needs rational strings, got {v!r}")
+        if isinstance(v, str):
+            _check_exponent(v)
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as e:
@@ -53,8 +75,17 @@ def _parse_scalar(v, mode):
 
 def _emit_scalar(v, mode):
     if mode == "exact":
-        return str(Fraction(v))
+        return _rational_text(Fraction(v))
     return float(v)
+
+
+def _rational_text(v):
+    """str(v) of a Fraction, or DocumentError when its numerator or its
+    denominator has more digits than sys.get_int_max_str_digits()."""
+    try:
+        return str(v)
+    except ValueError as e:
+        raise DocumentError(f"a rational of the report is too long to print: {e}") from e
 
 
 def _parse_index(key, grade):
@@ -181,7 +212,7 @@ def is_field_document(doc):
 def _jsonable(v):
     """Convert report values (Fractions, KForms, tuples...) to JSON types."""
     if isinstance(v, Fraction):
-        return str(v)
+        return _rational_text(v)
     if isinstance(v, bool) or v is None:
         return v
     if isinstance(v, (int, float, str)):
@@ -189,7 +220,7 @@ def _jsonable(v):
     if isinstance(v, complex):
         return {"re": v.real, "im": v.imag}
     if isinstance(v, ExactComplex):
-        return {"re": str(v.re), "im": str(v.im)}
+        return {"re": _rational_text(v.re), "im": _rational_text(v.im)}
     if isinstance(v, KForm):
         return serialize_form(v)
     if hasattr(v, "_asdict"):  # a report, a NamedTuple: by field name

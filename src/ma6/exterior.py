@@ -323,11 +323,19 @@ class QuadraticTable:
     def rational(self, u, v=None):
         """The polynomials at rational u (and v) as (numerators, den): one
         int per entry, entry = numerator/den.  The denominators of u and v
-        are cleared once and every term is summed in ints."""
+        are cleared once and every term is summed in ints, by ``int_sums``."""
         du, nu = _cleared(u)
         dv, nv = (du, nu) if v is None else _cleared(v)
-        return (tuple(sum([c * nu[i] * nv[j] for i, j, c in e]) for e in self.ints),
-                self.den * du * dv)
+        return self.int_sums(nu, nv), self.den * du * dv
+
+    def int_sums(self, nu, nv=None):
+        """The numerators of the polynomials at int u (and v): one int per
+        entry, Σ c·u_I·v_J over the table's coefficients cleared to
+        ``ints``, so entry = numerator/den.  With u = nu/du and v = nv/dv
+        in ints, the polynomials at (u, v) are the numerators over
+        den·du·dv."""
+        nv = nu if nv is None else nv
+        return tuple(sum([c * nu[i] * nv[j] for i, j, c in e]) for e in self.ints)
 
     def batch(self, U, V=None):
         """The polynomials at each row of the float arrays U and V, shape

@@ -109,19 +109,21 @@ def compat_q_k(omega, s, K=None):
     """Residual of the calibrated identity 2·q_ω(X) = Ω(K_ω X, X).
 
     q_ω is read off the characteristic pencil, not from K: its polarized ξ
-    coefficient Q_ab = −3·(i_{e_a}ω ∧ i_{e_b}ω ∧ Ω)/Ω³.  The matrix form of
-    the identity reads 2Q = sym(KᵀA) with A the matrix of Ω; returns the
-    largest absolute deviation (0 means the identity holds exactly).
+    coefficient Q_ab = −3·T(i_{e_a}ω, i_{e_b}ω), T(φ, ψ) = (φ ∧ ψ ∧ Ω)/Ω³
+    the space's `pencil_table`.  The matrix form of the identity reads
+    2Q = sym(KᵀA) with A the matrix of Ω; returns the largest absolute
+    deviation (0 means the identity holds exactly).
     """
     if K is None:
         K = hitchin_k(omega, s)
-    top = _omega_cubed(s)
-    phis = [interior_vector([int(i == a) for i in range(DIM)], omega) for a in range(DIM)]
+    T = s.pencil_table
+    phis = [interior_vector([int(i == a) for i in range(DIM)], omega).coeffs
+            for a in range(DIM)]
     M = _kt_a(K, s.matrix)
     res = 0
     for i in range(DIM):
         for j in range(i, DIM):
-            q = _pencil_c1(phis[i], phis[j], s, top)
+            q = -3 * T(phis[i], phis[j])[0]
             res = max(res, abs(COMPAT_SCALE * q - (M[i][j] + M[j][i]) / 2))
     return res
 
@@ -149,12 +151,16 @@ def signature(Q, tol=1e-9):
     """
     if any(isinstance(x, float) for row in Q.matrix for x in row):
         return _float_signature(Q.matrix, tol)
-    M = [list(row) for row in Q.matrix]
-    # clear the denominators, then eliminate in ints: each pivot's Schur
-    # complement is scaled by |pivot|, which keeps its inertia and its
-    # entries ints, and divided by the gcd of its entries
-    d = math.lcm(*(x.denominator for row in M for x in row))
-    M = [[x.numerator * (d // x.denominator) for x in row] for row in M]
+    d = math.lcm(*(x.denominator for row in Q.matrix for x in row))
+    return _int_signature([[x.numerator * (d // x.denominator) for x in row]
+                           for row in Q.matrix])
+
+
+def _int_signature(M):
+    """The inertia of a symmetric matrix of ints, a list of row lists that
+    it consumes.  Each pivot's Schur complement is scaled by |pivot|, which
+    keeps its inertia and its entries ints, and divided by the gcd of its
+    entries."""
     pos = neg = 0
     while M:
         n = len(M)
@@ -230,11 +236,6 @@ def _omega_cubed(s):
     return wedge(wedge(O, O), O).coeffs[0]
 
 
-def _pencil_c1(phi, psi, s, top):
-    """−3·(φ ∧ ψ ∧ Ω)/Ω³ for 2-forms φ, ψ; top is Ω³."""
-    return -3 * wedge(wedge(phi, psi), s.omega).coeffs[0] / top
-
-
 def char_pencil(omega, s, X):
     """Expand (i_Xω − ξΩ)³ / Ω³ as a cubic in ξ.
 
@@ -247,7 +248,7 @@ def char_pencil(omega, s, X):
     O = s.omega
     top = _omega_cubed(s)
     c0 = wedge(wedge(phi, phi), phi).coeffs[0] / top
-    c1 = _pencil_c1(phi, phi, s, top)
+    c1 = -3 * s.pencil_table(phi.coeffs)[0]
     c2 = 3 * wedge(wedge(phi, O), O).coeffs[0] / top
     c3 = -1 if not isinstance(c0, float) else -1.0
     return CubicPencil(c3, c2, c1, c0)

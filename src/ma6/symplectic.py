@@ -4,6 +4,7 @@ Hodge–Lepage–Lychagin decomposition for grades ≤ 3."""
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .exterior import (
     COMBS,
@@ -12,8 +13,12 @@ from .exterior import (
     Bivector6,
     GradeError,
     KForm,
+    QuadraticTable,
     _all_rational,
     _bot_table,
+    _cleared,
+    _wedge_table,
+    dim_grade,
     interior_bivector,
     wedge,
 )
@@ -54,6 +59,11 @@ class SymplecticSpace:
         matrix:  the 6x6 antisymmetric array A with A[i][j] = Ω(e_{i+1}, e_{j+1}).
         x_omega: the dual bivector X_Ω, from the inverse of A, scaled so ⊥Ω = 3.
         theta:   the volume form θ = −(1/6) Ω³.
+        matrix_terms: for a rational Ω, the nonzero entries of A' = e·A,
+                 A over its common denominator e > 0, as (k, j, A'[k][j])
+                 ints; None for any other Ω.
+        x_omega_ints: for a rational Ω, the numerators of X_Ω over its
+                 common denominator, one int per coefficient; else None.
     """
 
     def __init__(self, omega):
@@ -65,7 +75,9 @@ class SymplecticSpace:
             A[i - 1][j - 1] = c
             A[j - 1][i - 1] = -c
         self.matrix = A
-        Ainv = _mat_inverse(A)
+        rational = _all_rational(omega.coeffs)
+        # an int Ω is inverted in Fractions, so that X_Ω stays exact
+        Ainv = _mat_inverse([list(map(Fraction, row)) for row in A] if rational else A)
         xo = [0] * len(COMBS[2])
         for (i, j), p in POS[2].items():
             xo[p] = -Ainv[i - 1][j - 1]
@@ -81,6 +93,29 @@ class SymplecticSpace:
         ok = abs(cal - 3) < 1e-9 if isinstance(cal, float) else cal == 3
         if not ok:
             raise DegenerateError(f"⊥ calibration failed: ⊥Ω = {cal}, expected 3")
+        self.matrix_terms = self.x_omega_ints = None
+        if rational:
+            _, a = _cleared([c for row in A for c in row])
+            self.matrix_terms = tuple((n // DIM, n % DIM, c) for n, c in enumerate(a) if c)
+            self.x_omega_ints = tuple(_cleared(xo)[1])
+
+    @cached_property
+    def pencil_table(self):
+        """T(φ, ψ) = (φ ∧ ψ ∧ Ω)/Ω³ as a bilinear table in the coefficients
+        of two 2-forms, built on first use from the wedge tables and Ω's
+        exact value (a float coefficient is taken as the rational it is)."""
+        omega = [Fraction(c) for c in self.omega.coeffs]
+        w22, w42 = _wedge_table(2, 2), _wedge_table(4, 2)
+        # ψ ∧ Ω = Σ_r ψ_r·v_r for a 4-form ψ
+        v = [0] * dim_grade(4)
+        for r, j, c in w42.exact[0]:
+            v[r] += c * omega[j]
+        top = sum(a * b for a, b in zip(w22(omega, omega), v))
+        entries = {}
+        for r, terms in enumerate(w22.exact):
+            for p, q, c in terms:
+                entries[p, q] = entries.get((p, q), 0) + c * v[r] / top
+        return QuadraticTable([entries])
 
 
 def standard_space():
@@ -125,13 +160,14 @@ def effective_tol(omega):
 def is_effective(s, omega, tol=0):
     """True iff ⊥ω = 0 (by the rule of `effective_tol` for a float form);
     for grade 3 this coincides with ω ∧ Ω = 0.  With tol, |⊥ω| ≤ tol
-    instead.  On rational X_Ω and ω, ⊥ω is zero iff the int numerators of
-    its table are, and no Fraction is made."""
+    instead.  On a rational space and a rational ω, ⊥ω is zero iff the int
+    numerators of its table at X_Ω's stored ints are, and no Fraction is
+    made."""
     if omega.grade < 2:
         return True
-    if not tol and _all_rational(omega.coeffs) and _all_rational(s.x_omega.coeffs):
-        nums, _ = _bot_table(omega.grade).rational(s.x_omega.coeffs, omega.coeffs)
-        return not any(nums)
+    if not tol and s.x_omega_ints is not None and _all_rational(omega.coeffs):
+        return not any(_bot_table(omega.grade).int_sums(s.x_omega_ints,
+                                                        _cleared(omega.coeffs)[1]))
     tol = tol or effective_tol(omega)
     if tol:
         return bot(s, omega).max_abs() <= tol

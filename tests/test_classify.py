@@ -1,6 +1,7 @@
 """Orbit classification against the nine normal forms, invariance under
 symplectic changes of basis, and the assembled Calabi-Yau-type data."""
 
+import copy
 import random
 import sys
 from fractions import Fraction
@@ -30,14 +31,22 @@ from ma6.hitchin import (
     ExactnessError,
     SplitPair,
     _dual,
+    _lambda_of_k,
     _split,
     hitchin_k,
     k_squared,
     pfaffian,
     split_pair,
 )
-from ma6.lr import in_sp3, q_form, q_matrices
-from ma6.symplectic import EffectivenessError, bot, is_effective, project_effective
+from ma6.lr import _q_of_k, in_sp3, q_form, q_matrices
+from ma6.symplectic import (
+    EffectivenessError,
+    SymplecticSpace,
+    bot,
+    is_effective,
+    project_effective,
+    standard_space,
+)
 
 from conftest import reference_table1_form
 
@@ -257,8 +266,8 @@ def test_q_and_class_are_symplectic_invariants(space, other_space, coeffs, shear
 def calls(monkeypatch):
     """Counts of hitchin_k, symplectic.bot and lr._q_of_k calls, under every
     name a ma6 module imported them by, and of evaluations of the ⊥ table
-    (a call of its __call__, rational or batch, not counting one made from
-    another)."""
+    (a call of its __call__, rational, int_sums or batch, not counting one
+    made from another)."""
     counts = {"hitchin_k": 0, "bot": 0, "_q_of_k": 0, "bot_table": 0}
     for name, fn in (("hitchin_k", ma6.hitchin.hitchin_k), ("bot", ma6.symplectic.bot),
                      ("_q_of_k", ma6.lr._q_of_k)):
@@ -271,7 +280,7 @@ def calls(monkeypatch):
                     and getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, counting)
     table, depth = _bot_table(3), []
-    for name in ("__call__", "rational", "batch"):
+    for name in ("__call__", "rational", "int_sums", "batch"):
         def evaluating(self, *args, _fn=getattr(QuadraticTable, name), **kwargs):
             if self is table and not depth:
                 counts["bot_table"] += 1
@@ -350,6 +359,69 @@ def test_exact_classify_matches_fraction_oracle(space, other_space, negative_spa
         assert cls == TABLE1_CLASSES[row]
         assert report.lambda_ == pfaffian(omega, s) == expected_lambda(row, p)
         assert report.signature == reference_signature(q_form(omega, s))
+
+
+_coefficients = st.lists(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+                         min_size=20, max_size=20)
+
+
+@st.composite
+def _moved_spaces(draw):
+    """(P, the space of P*Ω0) for P = L·D·U, L and U unit lower and upper
+    triangular and D diagonal, with small rational entries: the pullback of
+    a form effective on the standard space is effective on it, and its
+    θ = det(D)·θ0 has either sign."""
+    entry = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
+    L = [[Fraction(int(i == j)) if j >= i else draw(entry) for j in range(6)]
+         for i in range(6)]
+    U = [[Fraction(int(i == j)) if j <= i else draw(entry) for j in range(6)]
+         for i in range(6)]
+    D = [draw(entry.filter(bool)) for _ in range(6)]
+    P = [[sum(L[i][k] * D[k] * U[k][j] for k in range(6)) for j in range(6)]
+         for i in range(6)]
+    return P, SymplecticSpace(standard_space().omega.pullback(P))
+
+
+def assert_classify_matches_k_path(omega, s):
+    """Exact classify's one int pass gives the class and report of the K
+    path: λ = _lambda_of_k of hitchin_k, a Fraction like it, and the
+    inertia of _q_of_k by Fraction elimination.  A form the K path refuses,
+    it refuses with the same error and message."""
+    k_path = copy.copy(s)
+    k_path.matrix_terms = None  # without A′, classify reads λ and q off K
+    try:
+        want = classify(omega, k_path)
+    except (EffectivenessError, UnclassifiableError) as e:
+        with pytest.raises(type(e)) as raised:
+            classify(omega, s)
+        assert str(raised.value) == str(e)
+        return
+    got = classify(omega, s)
+    assert got == want
+    K = hitchin_k(omega, s)
+    lam = _lambda_of_k(K)
+    assert got[1].lambda_ == lam and type(got[1].lambda_) is type(lam) is Fraction
+    assert got[1].signature == reference_signature(_q_of_k(K, s))
+
+
+@settings(max_examples=40, deadline=None)
+@given(row=_orbit_rows, p=_row_params, shears=_small_shears, coeffs=_coefficients,
+       moved=_moved_spaces())
+def test_one_pass_classify_matches_k_path(space, negative_space, row, p, shears, coeffs,
+                                          moved):
+    """On the standard space, on negative_space (θ < 0, so the int matrix S
+    is a negative multiple of Q) and on a moved rational space: a sheared
+    table row, the effective part of a random rational form and the form
+    itself, which is refused unless it is effective."""
+    assert negative_space.theta.coeffs[0] < 0
+    sheared = table1_form(row, p).pullback(symplectic_shears(space.matrix, shears))
+    form = KForm(3, coeffs)
+    P, s_moved = moved
+    for s, move in ((space, None), (negative_space, darboux_map(negative_space)),
+                    (s_moved, P)):
+        for omega in (sheared if move is None else sheared.pullback(move),
+                      project_effective(s, form), form):
+            assert_classify_matches_k_path(omega, s)
 
 
 @settings(max_examples=30, deadline=None)

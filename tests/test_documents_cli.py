@@ -51,6 +51,25 @@ def test_rational_strings():
     assert form.coeffs[0] == Fraction(3, 4)
 
 
+@pytest.mark.parametrize("text, ok", [
+    ("1e99", True), ("1.5e98", True), ("1e-99", True), ("-2.50E+97", True),
+    ("1_0e97", True), ("1e" + "0" * 200 + "99", True),
+    ("1e100", False), ("1e-100", False), ("12e99", False), ("0e100", False),
+    ("1e100000", False), ("1e" + "9" * 5000, False),
+])
+def test_rational_exponent_within_int_digit_limit(monkeypatch, text, ok):
+    """A rational string's exponent may expand it to at most
+    sys.get_int_max_str_digits() digits, here patched to 100: the limit
+    that Python applies to a plain digit string."""
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 100)
+    doc = {"version": 1, "scalar": "exact", "grade": 3, "coefficients": {"123": text}}
+    if ok:
+        assert parse_form(doc).coeffs[0] == Fraction(text)
+    else:
+        with pytest.raises(DocumentError, match="expands to more than 100 digits"):
+            parse_form(doc)
+
+
 def test_unknown_keys_rejected():
     with pytest.raises(DocumentError):
         parse_form({"version": 1, "grade": 3, "coefficients": {}, "extra": 1})
@@ -351,7 +370,7 @@ def test_cli_float_overflow_exit2():
     assert out == ""
 
 
-def run_cli_process(argv, stdin_text):
+def run_cli_process(argv, stdin_text, timeout=120):
     """``python -m ma6.cli ARGV`` in a child process, runpy warnings as errors."""
     import ma6
 
@@ -359,7 +378,7 @@ def run_cli_process(argv, stdin_text):
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "ma6.cli",
                            *argv], input=stdin_text, capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=env, timeout=timeout)
 
 
 NUMPY_FREE_RUN = r"""
@@ -767,6 +786,51 @@ _json_value = st.recursive(
 _huge = st.one_of(st.floats(min_value=1.01e50, allow_infinity=False),
                   st.floats(max_value=-1.01e50, allow_infinity=False),
                   st.integers(min_value=10 ** 309, max_value=10 ** 400))
+@pytest.mark.parametrize("command", ["classify", "split"])
+def test_cli_huge_exponent_exit2(command):
+    """"1e100000000" is invalid input, exit 2 within 20 s: it used to run
+    on past 20 s, building 10¹⁰⁰⁰⁰⁰⁰⁰⁰ and the invariants of a form
+    holding it.  Run in a child process, which the timeout can stop."""
+    doc = json.dumps({"version": 1, "grade": 3,
+                      "coefficients": {"123": "1e100000000", "456": "1"}})
+    proc = run_cli_process([command], doc, timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: rational '1e100000000' expands to more than")
+
+
+@pytest.mark.parametrize("argv", [["classify"], ["classify", "--format", "text"],
+                                  ["split"], ["split", "--format", "text"]])
+def test_cli_report_too_long_to_print_exit2(argv):
+    """λ = 10⁴⁴⁰⁰ of e123·10²²⁰⁰ + e456 has more digits than Python prints
+    (sys.get_int_max_str_digits(), 4300 by default): exit 2 with a
+    message, not a traceback and exit 1."""
+    doc = json.dumps({"version": 1, "grade": 3,
+                      "coefficients": {"123": "1e2200", "456": "1"}})
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(argv, stdin_text=doc)
+    assert code == 2
+    assert out == ""
+    assert err.getvalue().startswith("error: a rational of the report is too long to print")
+
+
+def test_cli_unreadable_input_exit2(tmp_path):
+    """Input that json cannot read, a JSON number longer than Python
+    converts and bytes that are not UTF-8, exits 2 with a message."""
+    long_number = tmp_path / "long.json"
+    long_number.write_text('{"version": 1, "grade": 3, "coefficients": {"123": '
+                           + "1" * 5000 + "}}")
+    not_utf8 = tmp_path / "bytes.json"
+    not_utf8.write_bytes(b'{"version": 1, "grade": 3, "\xff": 1}')
+    for path in (long_number, not_utf8):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, out = run_cli(["classify", "--input", str(path)])
+        assert (code, out) == (2, "")
+        assert err.getvalue().startswith("error: cannot read input: ")
+
+
 _non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 
 

@@ -1,6 +1,7 @@
 """Symplectic structure: ⊤/⊥ operators, effectiveness, and the effective
 decomposition of forms of grade ≤ 3."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -140,3 +141,39 @@ def test_float_spaces_match_exact():
              for _ in range(6)]
         err = float_space_error(g)
         assert err is None or err <= 1e-14, seed
+
+
+def test_space_stores_cleared_matrix_and_x_omega(space, other_space, negative_space):
+    """A rational space keeps the nonzero entries of A′, Ω's matrix over its
+    common denominator, and the numerators of X_Ω over theirs; a float space
+    keeps neither.  An Ω of ints is inverted in Fractions, so its X_Ω is
+    exact too (it used to be floats)."""
+    for s in (space, other_space, negative_space):
+        e = math.lcm(*(Fraction(a).denominator for row in s.matrix for a in row))
+        assert s.matrix_terms == tuple((k, j, a * e) for k, row in enumerate(s.matrix)
+                                       for j, a in enumerate(row) if a)
+        d = math.lcm(*(Fraction(x).denominator for x in s.x_omega.coeffs))
+        assert s.x_omega_ints == tuple(x * d for x in s.x_omega.coeffs)
+    ints = SymplecticSpace(KForm(2, [int(2 * c) for c in other_space.omega.coeffs]))
+    assert all(isinstance(x, (int, Fraction)) for x in ints.x_omega.coeffs)
+    assert ints.x_omega.coeffs == tuple(x / 2 for x in other_space.x_omega.coeffs)
+    floats = SymplecticSpace(KForm(2, [float(c) for c in other_space.omega.coeffs]))
+    assert floats.matrix_terms is None and floats.x_omega_ints is None
+
+
+def test_pencil_table_is_the_wedge_quotient(space, other_space):
+    """T(φ, ψ) = (φ ∧ ψ ∧ Ω)/Ω³ exactly on rational spaces, and to rounding
+    on a float space, for random 2-forms φ, ψ."""
+    rng = random.Random(7)
+    floats = SymplecticSpace(KForm(2, [float(c) for c in other_space.omega.coeffs]))
+    for s in (space, other_space, floats):
+        top = wedge(wedge(s.omega, s.omega), s.omega).coeffs[0]
+        for _ in range(5):
+            phi, psi = rand_form(rng, 2), rand_form(rng, 2)
+            want = wedge(wedge(phi, psi), s.omega).coeffs[0] / top
+            if s is floats:
+                phi, psi = (KForm(2, [float(c) for c in f.coeffs]) for f in (phi, psi))
+                assert s.pencil_table(phi.coeffs, psi.coeffs)[0] == pytest.approx(want,
+                                                                                   rel=1e-12)
+            else:
+                assert s.pencil_table(phi.coeffs, psi.coeffs) == (want,)
