@@ -109,23 +109,17 @@ def compat_q_k(omega, s, K=None):
     """Residual of the calibrated identity 2·q_ω(X) = Ω(K_ω X, X).
 
     q_ω is read off the characteristic pencil, not from K: its polarized ξ
-    coefficient Q_ab = −3·T(i_{e_a}ω, i_{e_b}ω), T(φ, ψ) = (φ ∧ ψ ∧ Ω)/Ω³
-    the space's `pencil_table`.  The matrix form of the identity reads
+    coefficient Q_ab = −3·(i_{e_a}ω ∧ i_{e_b}ω ∧ Ω)/Ω³, one evaluation of
+    the space's `pencil_q_table`.  The matrix form of the identity reads
     2Q = sym(KᵀA) with A the matrix of Ω; returns the largest absolute
     deviation (0 means the identity holds exactly).
     """
     if K is None:
         K = hitchin_k(omega, s)
-    T = s.pencil_table
-    phis = [interior_vector([int(i == a) for i in range(DIM)], omega).coeffs
-            for a in range(DIM)]
+    Q = s.pencil_q_table(omega.coeffs)
     M = _kt_a(K, s.matrix)
-    res = 0
-    for i in range(DIM):
-        for j in range(i, DIM):
-            q = -3 * T(phis[i], phis[j])[0]
-            res = max(res, abs(COMPAT_SCALE * q - (M[i][j] + M[j][i]) / 2))
-    return res
+    return max(abs(COMPAT_SCALE * Q[DIM * i + j] - (M[i][j] + M[j][i]) / 2)
+               for i in range(DIM) for j in range(i, DIM))
 
 
 # Bunch–Kaufman's α: a pivot d, the largest |diagonal| entry, no smaller

@@ -17,6 +17,7 @@ from .exterior import (
     _all_rational,
     _bot_table,
     _cleared,
+    _interior_table,
     _wedge_table,
     dim_grade,
     interior_bivector,
@@ -116,6 +117,27 @@ class SymplecticSpace:
             for p, q, c in terms:
                 entries[p, q] = entries.get((p, q), 0) + c * v[r] / top
         return QuadraticTable([entries])
+
+    @cached_property
+    def pencil_q_table(self):
+        """q_ω read off the characteristic pencil, as a quadratic table in
+        ω's 20 coefficients: entry DIM·a + b is Q_ab = −3·T(i_{e_a}ω, i_{e_b}ω),
+        T the `pencil_table`.  Built on first use by composing T with the
+        interior table, so that ω is cleared once per evaluation."""
+        # i_{e_a}ω = Σ_p (Σ sign·ω_I) e_p over the interior table's terms (I, a, sign)
+        inner = [[[] for _ in COMBS[2]] for _ in range(DIM)]
+        for p, terms in enumerate(_interior_table(3).exact):
+            for I, a, sign in terms:
+                inner[a][p].append((I, sign))
+        entries = [{} for _ in range(DIM * DIM)]
+        for a in range(DIM):
+            for b in range(DIM):
+                e = entries[DIM * a + b]
+                for p, q, t in self.pencil_table.exact[0]:
+                    for I, si in inner[a][p]:
+                        for J, sj in inner[b][q]:
+                            e[I, J] = e.get((I, J), 0) - 3 * t * si * sj
+        return QuadraticTable(entries)
 
 
 def standard_space():

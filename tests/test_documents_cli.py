@@ -773,19 +773,6 @@ def test_cli_split_builds_k_twice(monkeypatch):
                 assert len(calls) == 2
 
 
-# --- malformed form documents: exit 2 or 4, never a traceback
-
-_VALID_INDICES = {"".join(map(str, c)) for c in COMBS[3]}
-_json_leaf = st.one_of(st.none(), st.booleans(), st.integers(-10 ** 30, 10 ** 30),
-                       st.floats(), st.text(max_size=6))
-_json_value = st.recursive(
-    _json_leaf, lambda inner: st.one_of(st.lists(inner, max_size=3),
-                                        st.dictionaries(st.text(max_size=4), inner,
-                                                        max_size=3)),
-    max_leaves=6)
-_huge = st.one_of(st.floats(min_value=1.01e50, allow_infinity=False),
-                  st.floats(max_value=-1.01e50, allow_infinity=False),
-                  st.integers(min_value=10 ** 309, max_value=10 ** 400))
 @pytest.mark.parametrize("command", ["classify", "split"])
 def test_cli_huge_exponent_exit2(command):
     """"1e100000000" is invalid input, exit 2 within 20 s: it used to run
@@ -830,6 +817,20 @@ def test_cli_unreadable_input_exit2(tmp_path):
         assert (code, out) == (2, "")
         assert err.getvalue().startswith("error: cannot read input: ")
 
+
+# --- malformed form documents: exit 2 or 4, never a traceback
+
+_VALID_INDICES = {"".join(map(str, c)) for c in COMBS[3]}
+_json_leaf = st.one_of(st.none(), st.booleans(), st.integers(-10 ** 30, 10 ** 30),
+                       st.floats(), st.text(max_size=6))
+_json_value = st.recursive(
+    _json_leaf, lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                        st.dictionaries(st.text(max_size=4), inner,
+                                                        max_size=3)),
+    max_leaves=6)
+_huge = st.one_of(st.floats(min_value=1.01e50, allow_infinity=False),
+                  st.floats(max_value=-1.01e50, allow_infinity=False),
+                  st.integers(min_value=10 ** 309, max_value=10 ** 400))
 
 _non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 

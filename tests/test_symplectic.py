@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ma6.exterior import KForm, wedge
+from ma6.exterior import KForm, interior_vector, wedge
 from ma6.symplectic import (
     DegenerateError,
     EffectivenessError,
@@ -177,3 +177,24 @@ def test_pencil_table_is_the_wedge_quotient(space, other_space):
                                                                                    rel=1e-12)
             else:
                 assert s.pencil_table(phi.coeffs, psi.coeffs) == (want,)
+
+
+def test_pencil_q_table_composes_interior_and_pencil(space, other_space):
+    """Entry 6a + b of the q table at ω is −3·T(i_{e_a}ω, i_{e_b}ω): exactly
+    on rational spaces and forms, and to rounding on a float space."""
+    rng = random.Random(8)
+    floats = SymplecticSpace(KForm(2, [float(c) for c in other_space.omega.coeffs]))
+    for s in (space, other_space, floats):
+        for _ in range(3):
+            omega = rand_form(rng, 3)
+            if s is floats:
+                omega = KForm(3, [float(c) for c in omega.coeffs])
+            phis = [interior_vector([int(i == a) for i in range(6)], omega).coeffs
+                    for a in range(6)]
+            want = [-3 * s.pencil_table(phis[a], phis[b])[0]
+                    for a in range(6) for b in range(6)]
+            got = s.pencil_q_table(omega.coeffs)
+            if s is floats:
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+            else:
+                assert list(got) == want
