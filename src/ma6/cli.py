@@ -268,31 +268,47 @@ def _check_domain(solution, points):
                                          f"{solution}: sample point {tuple(x)}")
 
 
-def _builtin_section(args):
+def _regular_residual(solution, b, points, fld=None, perturb=0.0):
+    """The worst |ma_operator| of a regular built-in solution over the points:
+    the graph of df, f + perturb·x₁³ when perturb is nonzero, in the
+    solution's own form or in fld.  For hess-one's form it is |det Hess f − 1|,
+    the pullback's cofactor determinant."""
     from . import casestudies
-    from .fields import FormField
+    from .fields import FormField, SectionMap, _worst, ma_operator
 
-    if args.solution == "cs-regular":
-        return casestudies.cs_regular_solution(), \
-            FormField.constant(casestudies.cs_form(0.0))
-    if args.solution == "hess-one":
-        return casestudies.hess_one_solution(b=args.b), \
-            FormField.constant(
-                KForm.basis(4, 5, 6, scale=1.0) - KForm.basis(1, 2, 3, scale=1.0))
-    raise CliError(EXIT_INVALID, f"unknown solution {args.solution!r}")
+    if solution == "cs-regular":
+        section = casestudies.cs_regular_solution()
+        builtin = casestudies.cs_form(0.0)
+    else:
+        section = casestudies.hess_one_solution(b=b)
+        builtin = casestudies.hess_one_form()
+    if perturb:
+        base = section
 
+        # ε·x₁³ adds 3εx₁² to f₁ and 6εx₁ to f₁₁
+        def grad(x):
+            g = base.grad(x)
+            return [g[0] + 3 * perturb * x[0] ** 2, g[1], g[2]]
 
-def _det3(H):
-    """The determinant of a 3x3 matrix, by cofactors along its first row."""
-    (a, b, c), (d, e, f), (g, h, i) = H
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        def hess(x):
+            (h11, h12, h13), *rows = base.hess(x)
+            return [[h11 + 6 * perturb * x[0], h12, h13], *rows]
+
+        section = SectionMap(lambda x: base.f(x) + perturb * x[0] ** 3, grad, hess)
+    fld = FormField.constant(builtin) if fld is None else fld
+    return _worst(abs(ma_operator(fld, section, x)) for x in points)
 
 
 def cmd_check_solution(args):
     from . import casestudies
-    from .fields import (FormField, SectionMap, _worst, check_generalized_solution,
-                         ma_operator, sample_box)
+    from .fields import FormField, check_generalized_solution, sample_box
 
+    if args.solution == "cs-generalized" and args.perturb:
+        raise CliError(EXIT_INVALID, "--perturb applies to cs-regular and hess-one, "
+                                     "not to cs-generalized")
+    if args.solution != "cs-generalized" and args.gamma:
+        raise CliError(EXIT_INVALID, f"--gamma applies to cs-generalized only, "
+                                     f"not to {args.solution}")
     fld = None if args.input is None else _load_field(args.input)
     s = standard_space()
     rng_box = _parse_box(args.box, 3)
@@ -312,19 +328,9 @@ def cmd_check_solution(args):
             "tolerance": rep.tol, "seed": args.seed, "box": rng_box,
         }
         return report, EXIT_PASS if rep.passed else EXIT_FAIL
-    section, builtin = _builtin_section(args)
-    fld = builtin if fld is None else fld
-    if args.perturb:
-        base = section
-        eps = args.perturb
-        section = SectionMap(lambda x: base.f(x) + eps * x[0] ** 3,
-                             h=base.h)
-    if args.solution == "hess-one":
-        worst = _worst(abs(_det3(section.hess(x)) - 1) for x in points)
-        label = "max_abs_det_hessian_minus_1"
-    else:
-        worst = _worst(abs(ma_operator(fld, section, x)) for x in points)
-        label = "max_operator_residual"
+    worst = _regular_residual(args.solution, args.b, points, fld, args.perturb)
+    label = ("max_abs_det_hessian_minus_1" if args.solution == "hess-one"
+             else "max_operator_residual")
     passed = worst <= args.tol
     report = {
         "command": "check-solution", "solution": args.solution,
@@ -384,9 +390,8 @@ def cmd_demo(args):
 
 def _demo_cs(args):
     from . import casestudies
-    from .fields import (FormField, _worst, check_generalized_solution,
-                         is_symplectomorphism, ma_operator, pullback_field_poly,
-                         sample_box)
+    from .fields import (FormField, check_generalized_solution, is_symplectomorphism,
+                         pullback_field_poly, sample_box)
 
     s = standard_space()
     g = Fraction(args.gamma)  # the float's exact value
@@ -403,18 +408,16 @@ def _demo_cs(args):
         "reduction_pullback_exact": bool(reduced_ok),
         "reduction_is_symplectomorphism": bool(sympl_ok),
     }
-    fld = FormField.constant(casestudies.cs_form(float(args.gamma)))
     if args.gamma == 0:
         _check_domain("cs-regular", points)
-        f = casestudies.cs_regular_solution()
-        worst = _worst(abs(ma_operator(fld, f, x)) for x in points)
+        worst = _regular_residual("cs-regular", args.b, points)
         checks["regular_solution_residual"] = worst
         checks["regular_solution_passed"] = worst <= args.tol
-    fh = casestudies.hess_one_solution(b=args.b)
-    worst_h = _worst(abs(_det3(fh.hess(x)) - 1) for x in points)
+    worst_h = _regular_residual("hess-one", args.b, points)
     checks["hessian_one_residual"] = worst_h
     checks["hessian_one_passed"] = worst_h <= args.tol
     L = casestudies.cs_generalized_solution(gamma=args.gamma, b=args.b)
+    fld = FormField.constant(casestudies.cs_form(float(args.gamma)))
     rep = check_generalized_solution(L, fld, s, points, tol=args.tol)
     checks["generalized_solution_passed"] = rep.passed
     checks["generalized_solution_residuals"] = {
@@ -516,10 +519,13 @@ def build_parser():
     p.add_argument("--solution", choices=_SOLUTIONS, required=True)
     p.add_argument("--input", default=None,
                    help="optional form/field document overriding the builtin form")
-    p.add_argument("--gamma", type=_finite, default=0.0)
+    p.add_argument("--gamma", type=_finite, default=0.0,
+                   help="right-hand side of cs-generalized; nonzero is invalid "
+                        "for the other solutions")
     p.add_argument("--b", type=_nonnegative, default=1.0)
     p.add_argument("--perturb", type=_finite, default=0.0,
-                   help="add eps*x^3 to the candidate solution")
+                   help="add eps*x1^3, with its closed-form derivatives, to "
+                        "cs-regular or hess-one; nonzero is invalid for cs-generalized")
     p.add_argument("--box", default="0.5,2")
     p.add_argument("--samples", type=_samples, default=100)
     _add_common(p)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .exterior import COMBS, DIM, KForm, POS, dim_grade, merge_sign
 from .hitchin import _derivation_table, _k_table, _pieces_pairing, pfaffian, theta_pairing
@@ -234,18 +234,18 @@ def is_symplectomorphism(phi, s):
                for a, b in zip(pb.coeffs, omega_field.coeffs))
 
 
-class SectionMap:
-    """A function f: ℝ³ → ℝ with gradient and Hessian access.
+class SectionMap(NamedTuple):
+    """A function f: ℝ³ → ℝ with its closed-form gradient and Hessian.
 
-    Closed-form ``grad``/``hess`` are used when supplied; otherwise central
-    finite differences of f with step ``h``.
+    A regular solution of a Monge-Ampère equation is the graph of df on
+    which ω vanishes, so the operator reads df and Hess f and never the
+    value of f (`ma_operator`); every section therefore carries both
+    derivatives, and f is kept only as the function they belong to.
     """
 
-    def __init__(self, f, grad=None, hess=None, h=DEFAULT_H):
-        self.f = f
-        self._grad = grad
-        self._hess = hess
-        self.h = h
+    f: Callable
+    grad: Callable
+    hess: Callable
 
     @classmethod
     def from_poly(cls, p):
@@ -262,45 +262,6 @@ class SectionMap:
             hess=lambda x: [[float(hess[i][j].eval(pad(x))) for j in range(3)]
                             for i in range(3)],
         )
-
-    def __call__(self, x):
-        return self.f(x)
-
-    def grad(self, x):
-        if self._grad is not None:
-            return list(self._grad(x))
-        g = []
-        for a in range(3):
-            xp = list(x)
-            xm = list(x)
-            xp[a] += self.h
-            xm[a] -= self.h
-            g.append((self.f(xp) - self.f(xm)) / (2 * self.h))
-        return g
-
-    def hess(self, x):
-        if self._hess is not None:
-            return [list(r) for r in self._hess(x)]
-        h = max(self.h, 3e-4)  # nested differences lose accuracy; widen the step
-        H = [[0.0] * 3 for _ in range(3)]
-        f = self.f
-        for a in range(3):
-            for b in range(a, 3):
-                if a == b:
-                    xp = list(x)
-                    xm = list(x)
-                    xp[a] += h
-                    xm[a] -= h
-                    H[a][a] = (f(xp) - 2 * f(x) + f(xm)) / (h * h)
-                else:
-                    val = 0.0
-                    for sa, sb, w in ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
-                        xx = list(x)
-                        xx[a] += sa * h
-                        xx[b] += sb * h
-                        val += w * f(xx)
-                    H[a][b] = H[b][a] = val / (4 * h * h)
-        return H
 
 
 def ma_operator(fld, section, x):

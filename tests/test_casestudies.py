@@ -142,13 +142,26 @@ def test_regular_solution(space):
 
 
 def test_regular_solution_gradient_consistent():
-    from ma6.fields import SectionMap
-
+    """The closed-form gradient and Hessian agree with central differences
+    of f: step 1e-4 for the gradient, 3e-4 for the nested Hessian."""
     f = cs_regular_solution()
-    fd = SectionMap(f.f)
     x = [0.8, 1.1, 0.4]
-    assert max(abs(a - b) for a, b in zip(f.grad(x), fd.grad(x))) < 1e-6
-    Hc, Hf = np.array(f.hess(x)), np.array(fd.hess(x))
+
+    def at(*moves):  # f at x moved by (axis, step) pairs
+        xx = list(x)
+        for a, d in moves:
+            xx[a] += d
+        return f.f(xx)
+
+    h = 1e-4
+    fd_grad = [(at((a, h)) - at((a, -h))) / (2 * h) for a in range(3)]
+    assert max(abs(a - b) for a, b in zip(f.grad(x), fd_grad)) < 1e-6
+    h = 3e-4
+    fd_hess = [[(at((a, h)) - 2 * f.f(x) + at((a, -h))) / (h * h) if a == b else
+                (at((a, h), (b, h)) - at((a, h), (b, -h)) - at((a, -h), (b, h))
+                 + at((a, -h), (b, -h))) / (4 * h * h)
+                for b in range(3)] for a in range(3)]
+    Hc, Hf = np.array(f.hess(x)), np.array(fd_hess)
     assert np.abs(Hc - Hf).max() < 1e-4
 
 
@@ -170,6 +183,21 @@ def test_hess_one_value_matches_gradient():
         xm[i] -= h
         fd = (f.f(xp) - f.f(xm)) / (2 * h)
         assert abs(fd - f.grad(x)[i]) < 1e-7
+
+
+@pytest.mark.parametrize("b", [0, 1e-9, 1e-3, 0.01, 0.1, 1, 2, 3])
+def test_hess_one_value_matches_mpmath(b):
+    """The Gauss–Legendre value of f = ∫₀^s (b + 4ξ³)^(1/3) dξ agrees with
+    mpmath's quadrature, split where 4ξ³ overtakes b, within 1e-12 relative
+    over s ∈ [0, 3.5]; at (s, s, 0) the square root s_of returns s itself."""
+    mpmath = pytest.importorskip("mpmath")
+    f = hess_one_solution(b=b).f
+    r = (b / 4) ** (1 / 3)
+    third = mpmath.mpf(1) / 3
+    for s in [k * 0.1 for k in range(36)] + [1e-6, 1e-3, 0.05]:
+        cuts = [0, r, s] if 0 < r < s else [0, s]
+        ref = float(mpmath.quad(lambda t: (b + 4 * t ** 3) ** third, cuts))
+        assert abs(f([s, s, 0.0]) - ref) <= 1e-12 * abs(ref), (b, s)
 
 
 def test_generalized_solution(space):
@@ -198,9 +226,8 @@ def test_s6_invariants(rng):
 
 
 def test_import_does_not_load_scipy():
-    """scipy is imported only when hess_one_solution's value is computed,
-    and numpy only by the code that computes on arrays: ``import ma6``
-    loads neither."""
+    """No module imports scipy, and numpy is imported only by the code that
+    computes on arrays: ``import ma6`` loads neither."""
     src = os.path.dirname(os.path.dirname(ma6.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, ma6; sys.exit('scipy' in sys.modules or 'numpy' in sys.modules)"

@@ -24,7 +24,7 @@ from ma6.documents import (
     serialize_field,
     serialize_form,
 )
-from ma6.exterior import COMBS, KForm
+from ma6.exterior import COMBS, KForm, _det
 from ma6.fields import FormField
 from ma6.poly import Poly
 
@@ -216,6 +216,60 @@ def test_cli_check_solution_pass_and_fail():
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["--solution", "cs-generalized", "--perturb", "0.5"], "--perturb"),
+    (["--solution", "cs-regular", "--gamma", "3"], "--gamma"),
+    (["--solution", "hess-one", "--gamma", "3"], "--gamma"),
+])
+def test_cli_check_solution_unused_option_exit2(argv, option):
+    """An option the solution does not read is invalid input, not a pass:
+    cs-generalized is not perturbed, and cs-regular and hess-one solve no
+    γ-equation."""
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli(["check-solution", *argv, "--samples", "5"])
+    assert code == 2
+    assert option in err.getvalue()
+    assert out == ""
+
+
+def test_cli_hess_one_reads_input():
+    """--input replaces hess-one's form too: dq123 does not vanish on the
+    graph of df, so the check fails."""
+    code, out = run_cli(["check-solution", "--solution", "hess-one", "--input", "-",
+                         "--samples", "5"], form_doc(KForm.basis(1, 2, 3)))
+    assert code == 1
+    assert json.loads(out)["passed"] is False
+
+
+@pytest.mark.parametrize("solution", ["cs-regular", "hess-one"])
+@pytest.mark.parametrize("eps", [1e-3, 0.1])
+def test_cli_perturb_closed_form(solution, eps):
+    """--perturb ε reports the residual of f + ε·x₁³ from its closed-form
+    Hessian, H + 6εx₁ at (1, 1): f_xx f_yy − f_xy² + f_zz for cs-regular,
+    det H − 1 for hess-one, to 1e-12 relative."""
+    from ma6.fields import sample_box
+
+    code, out = run_cli(["check-solution", "--solution", solution,
+                         "--perturb", str(eps)])
+    rep = json.loads(out)
+    assert code == 1
+    f = (casestudies.cs_regular_solution() if solution == "cs-regular"
+         else casestudies.hess_one_solution(b=1))
+    worst = 0.0
+    for x in sample_box([(0.5, 2)] * 3, 100, seed=0):
+        H = np.array(f.hess(x))
+        H[0, 0] += 6 * eps * x[0]
+        if solution == "cs-regular":
+            r = H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0] + H[2, 2]
+        else:
+            r = np.linalg.det(H) - 1
+        worst = max(worst, abs(float(r)))
+    key = ("max_operator_residual" if solution == "cs-regular"
+           else "max_abs_det_hessian_minus_1")
+    assert abs(rep[key] - worst) <= 1e-12 * worst
+
+
 def test_cli_check_structure(tmp_path):
     doc = {"version": 1, "scalar": "exact", "grade": 3, "coefficients": {
         "234": {"0,0,0,0,0,0": "1"},
@@ -312,7 +366,8 @@ def test_s6_nan_in_k_reaches_multiplication_residual(monkeypatch):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(-1e3, 1e3), min_size=9, max_size=9))
 def test_det3_matches_numpy(entries):
-    """The cofactor determinant of the det Hess checks agrees with LU.
+    """The cofactor determinant of 3x3 rows, which the det Hess checks take
+    through ma_operator's pullback, agrees with LU.
     LU divides by a pivot, which warns when the pivot is subnormal (an
     entry of 2.2e-311, say); the reference is then still within the bound,
     so its warnings are silenced and only the comparison decides."""
@@ -320,7 +375,7 @@ def test_det3_matches_numpy(entries):
     bound = 1e-13 * (1 + max(abs(v) for v in entries)) ** 3
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         reference = float(np.linalg.det(np.array(H)))
-    assert abs(cli._det3(H) - reference) <= bound
+    assert abs(_det(H) - reference) <= bound
 
 
 @pytest.mark.parametrize("b", ["1", "2", "3"])
@@ -386,7 +441,8 @@ import io, json, sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 
-sys.modules["numpy"] = None  # from here on, importing numpy raises ImportError
+# from here on, importing numpy or scipy raises ImportError
+sys.modules["numpy"] = sys.modules["scipy"] = None
 
 import ma6
 from ma6 import cli
@@ -443,19 +499,25 @@ codes = {
     "hess-one": run(["check-solution", "--solution", "hess-one"]),
     "demo s6": run(["demo", "s6"]),
     "nan probe": run(["classify", "--scalar", "float"], nan),
+    "cs-regular perturbed": run(["check-solution", "--solution", "cs-regular",
+                                 "--perturb", "1e-3"]),
+    "hess-one perturbed": run(["check-solution", "--solution", "hess-one",
+                               "--perturb", "1e-3"]),
 }
-assert sys.modules["numpy"] is None
+from ma6.casestudies import hess_one_solution
+assert hess_one_solution(2).grad([1.0, 0.7, 1.3])
+assert sys.modules["numpy"] is None and sys.modules["scipy"] is None
 print(json.dumps(codes))
 """
 
 
 def test_exact_paths_run_without_numpy():
-    """numpy is imported only where arrays are computed: import ma6, exact
-    classify, split_pair and build_gcy on sheared table rows, and every
-    command of the benchmark's cli cycle (exact and float classify, the
-    near-boundary and NaN probes, split, the solution checks and both
-    demos) run with numpy unimportable, and end with their usual exit
-    codes."""
+    """numpy is imported only where arrays are computed, and scipy nowhere:
+    import ma6, exact classify, split_pair and build_gcy on sheared table
+    rows, every command of the benchmark's cli cycle (exact and float
+    classify, the near-boundary and NaN probes, split, the solution checks
+    and both demos), the --perturb checks and hess-one's gradient run with
+    numpy and scipy unimportable, and end with their usual exit codes."""
     import ma6
 
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ma6.__file__)))
@@ -465,7 +527,17 @@ def test_exact_paths_run_without_numpy():
     assert json.loads(proc.stdout) == {
         "classify": 0, "classify float": 0, "near-boundary probe": 4,
         "cs-generalized": 0, "demo cs": 0, "split": 0, "cs-regular": 0,
-        "hess-one": 0, "demo s6": 0, "nan probe": 2}
+        "hess-one": 0, "demo s6": 0, "nan probe": 2,
+        "cs-regular perturbed": 1, "hess-one perturbed": 1}
+
+
+def test_hess_one_value_without_scipy():
+    """hess_one_solution's value takes its Gauss–Legendre nodes from numpy;
+    it computes with scipy unimportable."""
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from ma6.casestudies import hess_one_solution\n"
+            "print(hess_one_solution(2).f([1.0, 0.7, 1.3]))")
+    assert run_python(code) > 0
 
 
 def run_python(code, *args):
