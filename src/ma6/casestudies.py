@@ -132,27 +132,37 @@ def hess_one_solution(b=1):
 def cs_generalized_solution(gamma=0, b=1):
     """The generalized solution surface of the semi-geostrophic equation:
     (x, y, (x+y)α, (y+z)α, (z+x)α, γ(x+y)α − z) with
-    α = ((b/(xy+yz+zx)^(3/2)) + 4)^(1/3) / 2.
+    α = w^(1/3) / 2, w = b/S^(3/2) + 4 and S = xy + yz + zx.
 
     It is the image under the reduction map of the graph of the gradient of
-    the det Hess = 1 solution; parameters range over xy + yz + zx > 0.
+    the det Hess = 1 solution; parameters range over S > 0.  Its tangent
+    frame is closed-form, from ∂_jα = −(b/4)·S^(−5/2)·w^(−2/3)·∂_jS.
     """
     gamma = float(gamma)
     b = float(b)
 
-    def alpha(u):
+    def point(u):
         x, y, z = u
-        return ((b / (x * y + y * z + z * x) ** 1.5) + 4) ** (1 / 3) / 2
+        al = ((b / (x * y + y * z + z * x) ** 1.5) + 4) ** (1 / 3) / 2
+        return [x, y, (x + y) * al, (y + z) * al, (z + x) * al,
+                gamma * (x + y) * al - z]
 
-    def comp(i):
-        def fn(u):
-            x, y, z = u
-            al = alpha(u)
-            return [x, y, (x + y) * al, (y + z) * al, (z + x) * al,
-                    gamma * (x + y) * al - z][i]
-        return fn
+    def jacobian(u):
+        x, y, z = u
+        S = x * y + y * z + z * x
+        w = b / S ** 1.5 + 4
+        al = w ** (1 / 3) / 2
+        c = -b / 4 * S ** -2.5 * w ** (-2 / 3)
+        dal = [c * (y + z), c * (z + x), c * (x + y)]
+        # ∂_j of (x+y)α is α·[j ≠ z] + (x+y)·∂_jα, and likewise cyclically;
+        # the last row is γ times row 3, minus e_z
+        rows = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]] + [
+            [al * (j != free) + v * dal[j] for j in range(3)]
+            for v, free in ((x + y, 2), (y + z, 0), (z + x, 1))]
+        rows.append([gamma * r - (j == 2) for j, r in enumerate(rows[2])])
+        return rows
 
-    return Submanifold3([comp(i) for i in range(6)])
+    return Submanifold3(point, jacobian)
 
 
 # --- the associative 3-form on the 6-sphere -------------------------------

@@ -272,7 +272,7 @@ def _regular_residual(solution, b, points, fld=None, perturb=0.0):
     """The worst |ma_operator| of a regular built-in solution over the points:
     the graph of df, f + perturb·x₁³ when perturb is nonzero, in the
     solution's own form or in fld.  For hess-one's form it is |det Hess f − 1|,
-    the pullback's cofactor determinant."""
+    the cofactor determinant of the frame's Hessian rows."""
     from . import casestudies
     from .fields import FormField, SectionMap, _worst, ma_operator
 
@@ -309,13 +309,17 @@ def cmd_check_solution(args):
     if args.solution != "cs-generalized" and args.gamma:
         raise CliError(EXIT_INVALID, f"--gamma applies to cs-generalized only, "
                                      f"not to {args.solution}")
+    if args.solution == "cs-regular" and args.b is not None:
+        raise CliError(EXIT_INVALID, "--b applies to hess-one and cs-generalized, "
+                                     "not to cs-regular")
+    b = 1.0 if args.b is None else args.b
     fld = None if args.input is None else _load_field(args.input)
     s = standard_space()
     rng_box = _parse_box(args.box, 3)
     points = sample_box(rng_box, args.samples, seed=args.seed)
     _check_domain(args.solution, points)
     if args.solution == "cs-generalized":
-        L = casestudies.cs_generalized_solution(gamma=args.gamma, b=args.b)
+        L = casestudies.cs_generalized_solution(gamma=args.gamma, b=b)
         if fld is None:
             fld = FormField.constant(casestudies.cs_form(float(args.gamma)))
         rep = check_generalized_solution(L, fld, s, points, tol=args.tol)
@@ -328,8 +332,8 @@ def cmd_check_solution(args):
             "tolerance": rep.tol, "seed": args.seed, "box": rng_box,
         }
         return report, EXIT_PASS if rep.passed else EXIT_FAIL
-    worst = _regular_residual(args.solution, args.b, points, fld, args.perturb)
-    label = ("max_abs_det_hessian_minus_1" if args.solution == "hess-one"
+    worst = _regular_residual(args.solution, b, points, fld, args.perturb)
+    label = ("max_abs_det_hessian_minus_1" if args.solution == "hess-one" and fld is None
              else "max_operator_residual")
     passed = worst <= args.tol
     report = {
@@ -522,7 +526,9 @@ def build_parser():
     p.add_argument("--gamma", type=_finite, default=0.0,
                    help="right-hand side of cs-generalized; nonzero is invalid "
                         "for the other solutions")
-    p.add_argument("--b", type=_nonnegative, default=1.0)
+    p.add_argument("--b", type=_nonnegative, default=None,
+                   help="b of hess-one and cs-generalized (default 1); "
+                        "invalid for cs-regular")
     p.add_argument("--perturb", type=_finite, default=0.0,
                    help="add eps*x1^3, with its closed-form derivatives, to "
                         "cs-regular or hess-one; nonzero is invalid for cs-generalized")

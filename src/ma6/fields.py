@@ -191,37 +191,34 @@ def d_numeric(fld, x, h=DEFAULT_H):
 
 
 class DiffeoMap:
-    """A map ℝ⁶ → ℝ⁶ given by 6 component functions (Poly or callable)."""
+    """A polynomial map ℝ⁶ → ℝ⁶ given by 6 Poly components; a constant
+    component becomes ``Poly.const``."""
 
     def __init__(self, components):
         if len(components) != DIM:
             raise ValueError("need 6 components")
-        self.components = tuple(components)
-
-    def is_polynomial(self):
-        return all(isinstance(c, Poly) or not callable(c) for c in self.components)
+        if any(map(callable, components)):
+            raise ValueError("DiffeoMap components must be polynomials")
+        self.components = tuple(map(_to_poly, components))
 
     def __call__(self, x):
-        return [_entry_eval(c, x) for c in self.components]
+        return [c.eval(x) for c in self.components]
 
     def jacobian(self, x):
         """6x6 Jacobian at x, exact from the polynomial components."""
         return [[p.eval(x) for p in row] for row in self.jacobian_poly()]
 
     def jacobian_poly(self):
-        if not self.is_polynomial():
-            raise ValueError("symbolic Jacobian needs polynomial components")
-        return [[_to_poly(c).diff(a) for a in range(DIM)] for c in self.components]
+        return [[c.diff(a) for a in range(DIM)] for c in self.components]
 
 
 def pullback_field_poly(phi, fld):
     """Symbolic pullback φ*ω of a polynomial field along a polynomial map:
     each coefficient composed with φ, then pulled back by the Jacobian of φ
     as a form with Poly coefficients."""
-    if not (phi.is_polynomial() and fld.is_polynomial()):
+    if not fld.is_polynomial():
         raise ValueError("symbolic pullback needs polynomial data")
-    comps = [_to_poly(c) for c in phi.components]
-    form = KForm(fld.grade, [_to_poly(c).subst(comps) for c in fld.coeffs])
+    form = KForm(fld.grade, [_to_poly(c).subst(phi.components) for c in fld.coeffs])
     pulled = form.pullback(phi.jacobian_poly())
     return FormField(fld.grade, map(_to_poly, pulled.coeffs))
 
@@ -267,46 +264,26 @@ class SectionMap(NamedTuple):
 def ma_operator(fld, section, x):
     """The Monge-Ampère expression of ω at the base point x ∈ ℝ³.
 
-    Substitutes p_i = ∂f/∂x_i and dp_i = Σ_j f_ij dx_j into ω and returns
-    the coefficient of dx1∧dx2∧dx3.
+    ω at the point (x, ∇f) of the graph of df, restricted to the graph's
+    tangent frame (e_j, column j of Hess f): the substitution p_i = ∂f/∂x_i,
+    dp_i = Σ_j f_ij dx_j, read as the coefficient of dx1∧dx2∧dx3.
     """
     if fld.grade != 3:
         raise ValueError("Monge-Ampère operators come from 3-forms")
-    grad = section.grad(x)
+    point = list(x) + list(section.grad(x))
     H = section.hess(x)
-    point = list(x) + list(grad)
-    # rows of the graph map's Jacobian: identity over the base, H over fibers
-    J = [[1 if i == j else 0 for j in range(3)] for i in range(3)] + \
-        [[H[i][j] for j in range(3)] for i in range(3)]
-    return fld.evaluate(point).pullback(J)[0]
+    frame = [[1 if i == j else 0 for i in range(3)] + [H[i][j] for i in range(3)]
+             for j in range(3)]
+    return fld.evaluate(point).evaluate(*frame)
 
 
-class Submanifold3:
-    """A parametrized 3-submanifold u: U ⊆ ℝ³ → ℝ⁶."""
+class Submanifold3(NamedTuple):
+    """A parametrized 3-submanifold u: U ⊆ ℝ³ → ℝ⁶ with its closed-form
+    tangent frame: ``point`` maps u to its 6 coordinates, ``jacobian`` to
+    the 6x3 rows whose columns are the tangent vectors ∂/∂u_j."""
 
-    def __init__(self, components, h=DEFAULT_H):
-        if len(components) != DIM:
-            raise ValueError("need 6 components")
-        self.components = tuple(components)
-        self.h = h
-
-    def __call__(self, u):
-        return [_entry_eval(c, tuple(u) + (0, 0, 0)) if isinstance(c, Poly)
-                else c(u) if callable(c) else c
-                for c in self.components]
-
-    def jacobian(self, u):
-        """6x3 Jacobian (columns = tangent vectors), by central differences."""
-        J = [[0.0] * 3 for _ in range(DIM)]
-        for a in range(3):
-            up = list(u)
-            um = list(u)
-            up[a] += self.h
-            um[a] -= self.h
-            fp, fm = self(up), self(um)
-            for i in range(DIM):
-                J[i][a] = (fp[i] - fm[i]) / (2 * self.h)
-        return J
+    point: Callable
+    jacobian: Callable
 
 
 def _worst(residuals):
@@ -345,7 +322,7 @@ def check_generalized_solution(L, fld, s, params, tol=DEFAULT_TOL):
             continue
         t = [[J[i][a] for i in range(DIM)] for a in range(3)]
         lags += [abs(s.omega.evaluate(t[a], t[b])) for a in range(3) for b in range(a + 1, 3)]
-        oms.append(abs(fld.evaluate(L(u)).evaluate(*t)))
+        oms.append(abs(fld.evaluate(L.point(u)).evaluate(*t)))
     n = len(oms)
     max_lag, max_om = _worst(lags), _worst(oms)
     return SolutionReport(passed=(n > 0 and max_lag <= tol and max_om <= tol),

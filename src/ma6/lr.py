@@ -225,11 +225,6 @@ def _float_signature(M, tol):
     return Signature(pos, neg, len(M))
 
 
-def _omega_cubed(s):
-    O = s.omega
-    return wedge(wedge(O, O), O).coeffs[0]
-
-
 def char_pencil(omega, s, X):
     """Expand (i_Xω − ξΩ)³ / Ω³ as a cubic in ξ.
 
@@ -240,7 +235,7 @@ def char_pencil(omega, s, X):
         raise ValueError("char_pencil takes a 3-form")
     phi = interior_vector(X, omega)
     O = s.omega
-    top = _omega_cubed(s)
+    top = -6 * s.theta.coeffs[0]  # Ω³ = −6θ
     c0 = wedge(wedge(phi, phi), phi).coeffs[0] / top
     c1 = -3 * s.pencil_table(phi.coeffs)[0]
     c2 = 3 * wedge(wedge(phi, O), O).coeffs[0] / top

@@ -209,6 +209,25 @@ def test_generalized_solution(space):
         assert rep.passed, (g, rep.max_lagrangian, rep.max_omega)
 
 
+@pytest.mark.parametrize("gamma", [0, 1, 5])
+@pytest.mark.parametrize("b", [0.5, 1, 3])
+def test_generalized_solution_jacobian_matches_differences(gamma, b):
+    """The closed-form tangent frame of cs_generalized_solution agrees with
+    central differences of its point map, step 1e-5, within 1e-8 relative
+    to max(|entry|, 1)."""
+    L = cs_generalized_solution(gamma=gamma, b=b)
+    h = 1e-5
+    for u in sample_box([(0.5, 2)] * 3, 20, seed=0):
+        J = L.jacobian(u)
+        for a in range(3):
+            up, um = list(u), list(u)
+            up[a] += h
+            um[a] -= h
+            for i, (p, m) in enumerate(zip(L.point(up), L.point(um))):
+                fd = (p - m) / (2 * h)
+                assert abs(fd - J[i][a]) <= 1e-8 * max(abs(J[i][a]), 1), (u, i, a)
+
+
 # --- the 6-sphere ---------------------------------------------------------
 
 def test_s6_invariants(rng):

@@ -220,11 +220,12 @@ def test_cli_check_solution_pass_and_fail():
     (["--solution", "cs-generalized", "--perturb", "0.5"], "--perturb"),
     (["--solution", "cs-regular", "--gamma", "3"], "--gamma"),
     (["--solution", "hess-one", "--gamma", "3"], "--gamma"),
+    (["--solution", "cs-regular", "--b", "3"], "--b"),
 ])
 def test_cli_check_solution_unused_option_exit2(argv, option):
     """An option the solution does not read is invalid input, not a pass:
-    cs-generalized is not perturbed, and cs-regular and hess-one solve no
-    γ-equation."""
+    cs-generalized is not perturbed, cs-regular and hess-one solve no
+    γ-equation, and cs-regular has no b."""
     err = io.StringIO()
     with redirect_stderr(err):
         code, out = run_cli(["check-solution", *argv, "--samples", "5"])
@@ -235,11 +236,38 @@ def test_cli_check_solution_unused_option_exit2(argv, option):
 
 def test_cli_hess_one_reads_input():
     """--input replaces hess-one's form too: dq123 does not vanish on the
-    graph of df, so the check fails."""
+    graph of df, so the check fails.  The residual is then |Δ_ω f| of the
+    given form, reported as the operator residual, not as det Hess f − 1."""
     code, out = run_cli(["check-solution", "--solution", "hess-one", "--input", "-",
                          "--samples", "5"], form_doc(KForm.basis(1, 2, 3)))
+    rep = json.loads(out)
     assert code == 1
-    assert json.loads(out)["passed"] is False
+    assert rep["passed"] is False
+    assert "max_operator_residual" in rep
+    assert "max_abs_det_hessian_minus_1" not in rep
+
+
+@pytest.mark.parametrize("argv", [
+    ["--box", "0.05,0.2", "--samples", "50"],
+    ["--gamma", "3", "--b", "3", "--box", "0.02,0.1", "--samples", "50"],
+    ["--box", "0.002,0.01", "--samples", "50"],
+])
+def test_cli_cs_generalized_passes_near_boundary(argv):
+    """cs-generalized is an exact solution, and its closed-form tangent
+    frame keeps both residuals far below tol near xy + yz + zx = 0."""
+    code, out = run_cli(["check-solution", "--solution", "cs-generalized", *argv])
+    rep = json.loads(out)
+    assert code == 0, out
+    assert rep["passed"] is True and rep["points"] == 50
+
+
+def test_cli_cs_generalized_default_box_residuals():
+    """On the default box both residuals are at rounding level."""
+    code, out = run_cli(["check-solution", "--solution", "cs-generalized"])
+    rep = json.loads(out)
+    assert code == 0
+    assert rep["max_lagrangian_residual"] <= 1e-12
+    assert rep["max_form_residual"] <= 1e-12
 
 
 @pytest.mark.parametrize("solution", ["cs-regular", "hess-one"])
@@ -367,7 +395,7 @@ def test_s6_nan_in_k_reaches_multiplication_residual(monkeypatch):
 @given(st.lists(st.floats(-1e3, 1e3), min_size=9, max_size=9))
 def test_det3_matches_numpy(entries):
     """The cofactor determinant of 3x3 rows, which the det Hess checks take
-    through ma_operator's pullback, agrees with LU.
+    through ma_operator's tangent frame, agrees with LU.
     LU divides by a pivot, which warns when the pivot is subnormal (an
     entry of 2.2e-311, say); the reference is then still within the bound,
     so its warnings are silenced and only the comparison decides."""
@@ -668,8 +696,8 @@ def test_public_surface_unchanged():
     rep = ma6.check_generalized_solution(L, FormField.constant(cs_form(1.0)), s,
                                          [[0.5, 1.0, 1.5], [1.0, 2.0, 0.5]])
     assert repr(rep) == (
-        "SolutionReport(passed=True, max_lagrangian=8.104628079763643e-11, "
-        "max_omega=1.4777823409417579e-10, n_points=2, excluded=[], tol=1e-06)")
+        "SolutionReport(passed=True, max_lagrangian=1.1102230246251565e-16, "
+        "max_omega=0.0, n_points=2, excluded=[], tol=1e-06)")
 
 
 def test_cli_module_runs_once():

@@ -120,20 +120,44 @@ def test_ma_operator_wave(space):
     assert ma_operator(row5, f, [0.0, 0.0, 0.0]) == pytest.approx(1 - (-3))
 
 
+def reference_ma_operator(fld, section, x):
+    """The operator as the pullback of ω along the graph map's Jacobian
+    [I; H], the coefficient of dx1∧dx2∧dx3."""
+    grad = section.grad(x)
+    H = section.hess(x)
+    point = list(x) + list(grad)
+    J = [[1 if i == j else 0 for j in range(3)] for i in range(3)] + \
+        [[H[i][j] for j in range(3)] for i in range(3)]
+    return fld.evaluate(point).pullback(J)[0]
+
+
+_entry = st.one_of(st.just(0.0), st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=st.lists(_entry, min_size=20, max_size=20),
+       h=st.lists(_entry, min_size=6, max_size=6),
+       x=st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6))
+def test_ma_operator_matches_pullback_reference(coeffs, h, x):
+    """ω restricted to the graph's tangent frame is, bitwise, the pullback
+    of ω along [I; H]: the same 3x3 minors summed in the same order."""
+    H = [[h[0], h[1], h[2]], [h[1], h[3], h[4]], [h[2], h[4], h[5]]]
+    section = SectionMap(None, grad=lambda _: x[3:], hess=lambda _: H)
+    fld = FormField.constant(KForm(3, coeffs))
+    assert repr(ma_operator(fld, section, x[:3])) == \
+        repr(reference_ma_operator(fld, section, x[:3]))
+
+
 def test_generalized_solution_graph_of_gradient(space):
     """graph(df) with Δf = 0 solves the Laplace-type equation of row 4."""
     # harmonic f = x² − y² ... needs Δf = f_xx+f_yy+f_zz = 0
-    f = Poly({(2, 0, 0, 0, 0, 0): Fraction(1), (0, 2, 0, 0, 0, 0): Fraction(-1)})
-    grads = [f.diff(i) for i in range(3)]
+    f = SectionMap.from_poly(
+        Poly({(2, 0, 0, 0, 0, 0): Fraction(1), (0, 2, 0, 0, 0, 0): Fraction(-1)}))
 
-    def comp(i):
-        def fn(u):
-            if i < 3:
-                return u[i]
-            return float(grads[i - 3].eval(tuple(u) + (0, 0, 0)))
-        return fn
+    def jacobian(u):  # [I; Hess f]
+        return [[float(i == j) for j in range(3)] for i in range(3)] + f.hess(u)
 
-    L = Submanifold3([comp(i) for i in range(6)])
+    L = Submanifold3(lambda u: list(u) + f.grad(u), jacobian)
     fld = FormField.constant(KForm(3, [float(c)
                                        for c in table1_form(4).coeffs]))
     pts = sample_box([(0.2, 1.5)] * 3, 20, seed=5)
@@ -142,7 +166,7 @@ def test_generalized_solution_graph_of_gradient(space):
 
 
 def test_rank_deficient_points_excluded(space):
-    const = Submanifold3([lambda u: 1.0] * 6)
+    const = Submanifold3(lambda u: [1.0] * 6, lambda u: [[0.0] * 3] * 6)
     fld = FormField.constant(KForm(3, [float(c) for c in table1_form(4).coeffs]))
     rep = check_generalized_solution(const, fld, space,
                                      sample_box([(0, 1)] * 3, 5, seed=1))
@@ -656,6 +680,18 @@ def test_pointwise_field_has_no_exact_operations(space):
         pullback_field_poly(DiffeoMap([Poly.var(i) for i in range(6)]), fld)
     with pytest.raises(DocumentError):
         serialize_field(fld)
+
+
+def test_diffeomap_takes_polynomials_only():
+    """A constant component becomes Poly.const; a callable one is rejected
+    when the map is built."""
+    x1, x3, x4, x5 = (Poly.var(i) for i in (0, 2, 3, 4))
+    phi = DiffeoMap([x1, 2, x3, x4, x5, Fraction(1, 2)])
+    assert phi.components[1] == Poly.const(2)
+    assert phi([3, 0, 1, 0, 0, 0]) == [3, 2, 1, 0, 0, Fraction(1, 2)]
+    assert phi.jacobian([0] * 6)[1] == [0] * 6
+    with pytest.raises(ValueError, match="polynomials"):
+        DiffeoMap([x1, lambda x: 0.0, x3, x4, x5, x1])
 
 
 def test_curvature_matches_loop_reference():
