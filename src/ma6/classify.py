@@ -12,8 +12,9 @@ import enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exterior import DIM, POS, KForm, _all_rational, _bot_table, _cleared, _kform, dim_grade
-from .symplectic import EffectivenessError, effective_tol, is_effective
+from .exterior import (DIM, POS, KForm, _all_rational, _bot_table, _cleared, _kform,
+                       dim_grade, zero_tol)
+from .symplectic import EffectivenessError, is_effective
 from .hitchin import (
     DegenerateFormError,
     ExactnessError,
@@ -153,23 +154,22 @@ def classify(omega, s, tol=0):
     rational space, with no tol, takes one int pass, `_exact_invariants`:
     ω is cleared once, and the ⊥ guard, λ and the inertia of q_ω come from
     the space's stored A′ and X_Ω ints.  Any other input passes the
-    effectiveness guard with tol (or the float rule) and takes λ and q_ω
-    from one K.  Raises EffectivenessError for a form that is not
-    effective, UnclassifiableError for a signature the table has no class
-    for."""
-    rule = effective_tol(omega)
-    eff_tol = tol or rule
-    if (not eff_tol and omega.grade == 3 and s.matrix_terms is not None
+    effectiveness guard with tol (or the zero rule of ⊥ω) and takes λ and
+    q_ω from one K, a float λ and q_ω zero by the rules of `zero_tol`.
+    Raises EffectivenessError for a form that is not effective,
+    UnclassifiableError for a signature the table has no class for."""
+    tol = tol or zero_tol(omega, 1)
+    if (not tol and omega.grade == 3 and s.matrix_terms is not None
             and _all_rational(omega.coeffs)):
         lam, sig = _exact_invariants(omega, s)
     else:
-        if not is_effective(s, omega, tol=eff_tol):
+        if not is_effective(s, omega, tol=tol):
             raise EffectivenessError("classification requires an effective 3-form")
         K = hitchin_k(omega, s)
         lam = _lambda_of_k(K)
         if _lambda_is_zero(lam, omega):
             lam = 0.0 if isinstance(lam, float) else lam
-        sig = signature(_q_of_k(K, s))
+        sig = signature(_q_of_k(K, s), zero_tol(omega, 2))
     branch = "hyperbolic" if lam > 0 else "elliptic" if lam < 0 else "degenerate"
     report = InvariantReport(lambda_=lam, signature=sig,
                              effective=True, nondegenerate=lam != 0, branch=branch)
@@ -192,7 +192,7 @@ def classify(omega, s, tol=0):
                else OrbitClass.WAVE_2D)
         return cls, report
     if rank == 0:
-        zero = omega.max_abs() <= eff_tol if rule else omega.is_zero()
+        zero = omega.max_abs() <= tol if tol else omega.is_zero()
         return (OrbitClass.ZERO if zero else OrbitClass.SECOND_DERIVATIVE), report
     raise UnclassifiableError(
         f"λ = 0 with signature rank {rank} is outside the table's convention")

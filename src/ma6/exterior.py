@@ -447,6 +447,22 @@ def _cleared(w):
     return d, [x.numerator * (d // x.denominator) for x in w]
 
 
+# ε_d of the zero rule, by degree d: ⊥ω (1), q_ω and a piece's K (2), λ (4)
+ZERO_EPS = {1: 1e-9, 2: 1e-9, 4: 1e-12}
+
+
+def zero_tol(omega, d):
+    """The one zero rule: a float invariant of degree d in ω is zero when its
+    size is ≤ ε_d·|ω|^d, |ω| = max|ω_I|, a bound that scales as the invariant
+    does.  That bound for a form with a float or complex coefficient, one
+    per row for a float array of coefficient rows; else 0, zero being 0."""
+    if not isinstance(omega, KForm):
+        return ZERO_EPS[d] * abs(omega).max(axis=-1) ** d
+    if any(isinstance(c, (float, complex)) for c in omega.coeffs):
+        return ZERO_EPS[d] * omega.max_abs() ** d
+    return 0
+
+
 def interior_vector(X, omega):
     """Contraction i_X ω for a vector X (length-6 sequence)."""
     k = omega.grade

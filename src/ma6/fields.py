@@ -367,9 +367,10 @@ def _rank(J, tol):
 # --- pointwise invariants of a 3-form field -------------------------------
 
 def _degenerate(lam, scale):
-    """The degeneracy guard |λ| < 1e-8·(1 + |ω|)⁴, λ quartic in ω; for
-    numbers or for arrays of λ and |ω|."""
-    return abs(lam) < 1e-8 * (1 + scale) ** 4
+    """The degeneracy guard |λ| ≤ 1e-8·|ω|⁴: the zero rule's shape with its
+    own ε, as it guards the conditioning of |λ|^(−1/4), not the rounding of
+    λ; ω = 0 is degenerate.  For numbers or for arrays of λ and |ω|."""
+    return abs(lam) <= 1e-8 * scale ** 4
 
 
 def lambda_field(fld, s, x):

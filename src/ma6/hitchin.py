@@ -36,6 +36,7 @@ from .exterior import (
     merge_sign,
     rational_sqrt,
     wedge,
+    zero_tol,
 )
 
 
@@ -152,17 +153,12 @@ def _abs_pow(lam, num, den, exact):
     return float(a) ** (num / den)
 
 
-# The float λ of rational forms rounded to floats is within 4.0e-16·(1 + |ω|)⁴
-# of the exact λ, measured over sheared table rows with |ω| up to 4·10⁵; the
-# λ = 0 rule keeps a margin of 10³ above that (test_lambda_zero_rule_margin).
-LAMBDA_ZERO_TOL = 1e-12
-
-
 def _lambda_is_zero(lam, omega):
-    """The one λ = 0 rule: an exact λ is zero when it equals 0, a float λ
-    when |λ| ≤ LAMBDA_ZERO_TOL·(1 + |ω|)⁴, λ being quartic in ω."""
+    """The λ = 0 rule: an exact λ is zero when it equals 0, a float λ by the
+    zero rule of degree 4, |λ| ≤ ε₄·|ω|⁴ (`zero_tol`); float-ness is read off
+    λ, so an exact ω is not scanned."""
     if isinstance(lam, float):
-        return abs(lam) <= LAMBDA_ZERO_TOL * (1 + omega.max_abs()) ** 4
+        return abs(lam) <= zero_tol(omega, 4)
     return lam == 0
 
 
@@ -240,18 +236,14 @@ def is_decomposable(phi, space_or_theta, tol=None):
     """True iff φ is a decomposable 3-form, i.e. its K-map vanishes.
 
     For 3-forms in 6 variables i_Xφ ∧ φ = 0 for all X exactly characterizes
-    decomposability.  ``tol`` enables the approximate check for floats; the
-    default is 1e-9·(1 + |φ|)³, one degree above the quadratic homogeneity
-    of K in φ.
+    decomposability.  ``tol`` bounds max|K_ij|; the default is the zero rule
+    of K, quadratic in φ: ε₂·|φ|² for a float or complex φ, else K = 0.
     """
-    theta = _theta_of(space_or_theta)
-    K = hitchin_k(phi, theta)
-    entries = [K[i][j] for i in range(DIM) for j in range(DIM)]
-    if any(isinstance(e, (float, complex)) for e in entries):
-        if tol is None:
-            scale = max(abs(c) for c in phi.coeffs) if not phi.is_zero() else 0
-            tol = 1e-9 * (1 + scale) ** 3
-        return max(abs(e) for e in entries) <= tol
+    K = hitchin_k(phi, space_or_theta)
+    entries = [e for row in K for e in row]
+    tol = zero_tol(phi, 2) if tol is None else tol
+    if tol:
+        return max(map(abs, entries)) <= tol
     return all(e == 0 for e in entries)
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .exterior import DIM, _bot_table, interior_vector, wedge
-from .symplectic import EFFECTIVE_TOL, EffectivenessError, is_effective
+from .exterior import DIM, _bot_table, interior_vector, wedge, zero_tol
+from .symplectic import EffectivenessError, is_effective
 from .hitchin import _k_table, hitchin_k
 
 
@@ -71,12 +71,12 @@ def _q_of_k(K, s):
     return QuadForm6(tuple(tuple(row) for row in Q))
 
 
-def q_form(omega, s, tol=0):
+def q_form(omega, s):
     """Q with Q(X) = −(1/4) ⊥²(i_X ω ∧ i_X ω), read off Hitchin's K;
-    requires ω effective, by `is_effective` with tol."""
+    requires ω effective, by `is_effective`."""
     if omega.grade != 3:
         raise ValueError("q_form takes a 3-form")
-    if not is_effective(s, omega, tol=tol):
+    if not is_effective(s, omega):
         raise EffectivenessError("q_form requires an effective 3-form")
     return _q_of_k(hitchin_k(omega, s), s)
 
@@ -84,14 +84,14 @@ def q_form(omega, s, tol=0):
 def q_matrices(W, s):
     """The matrices of q_form at each row of the float array W of 3-form
     coefficients, shape (N, 20): an (N, 6, 6) float array.  Every row must
-    be effective by the rule of q_form on floats, |⊥ω| ≤ EFFECTIVE_TOL·(1 + |ω|)."""
+    be effective by the rule of q_form on floats, |⊥ω| ≤ ε₁·|ω| (`zero_tol`)."""
     import numpy as np
 
     W = np.asarray(W, dtype=float)
     x_omega = np.array(s.x_omega.coeffs, dtype=float)
     X = np.broadcast_to(x_omega, (len(W), x_omega.size))
     bot = np.abs(_bot_table(3).batch(X, W)).max(axis=1)
-    if not (bot <= EFFECTIVE_TOL * (1 + np.abs(W).max(axis=1))).all():
+    if not (bot <= zero_tol(W, 1)).all():
         raise EffectivenessError("q_form requires an effective 3-form")
     K = (_k_table().batch(W) / float(s.theta.coeffs[0])).reshape(-1, DIM, DIM)
     M = np.einsum("nki,kj->nij", K, np.array(s.matrix, dtype=float))
@@ -128,7 +128,7 @@ def compat_q_k(omega, s, K=None):
 _PIVOT_ALPHA = (1 + math.sqrt(17)) / 8
 
 
-def signature(Q, tol=1e-9):
+def signature(Q, tol=0):
     """Sylvester inertia of a symmetric quadratic form, by symmetric
     elimination: each pivot's sign is one sign of the inertia, and its
     Schur complement M − v·vᵀ/p (v the pivot's column) carries the rest.
@@ -137,11 +137,13 @@ def signature(Q, tol=1e-9):
 
     Exact entries are eliminated in Python ints over their common
     denominator.  With any float entry, an entry counts as zero when it is
-    ≤ tol·max(1, max|Q_ij|): the elimination pivots on the largest
-    |diagonal| entry when it is above that and at least α ≈ 0.64 times
-    every other |entry| of its row (Bunch–Kaufman), else manufactures a
-    pivot from the largest off-diagonal entry, and stops when every
-    remaining entry is zero.  A non-finite float entry raises ValueError.
+    ≤ tol, an absolute threshold from the caller (`classify` passes ε₂·|ω|²,
+    as a Q of rounding noise has no scale of its own): the elimination
+    pivots on the largest |diagonal| entry when it is above tol and at
+    least α ≈ 0.64 times every other |entry| of its row (Bunch–Kaufman),
+    else manufactures a pivot from the largest off-diagonal entry, and
+    stops when every remaining entry is zero.  A non-finite float entry
+    raises ValueError.
     """
     if any(isinstance(x, float) for row in Q.matrix for x in row):
         return _float_signature(Q.matrix, tol)
@@ -191,14 +193,13 @@ def _add_row_col(M, i, j, sign):
     return i
 
 
-def _float_signature(M, tol):
-    """The float branch of `signature`."""
+def _float_signature(M, zero):
+    """The float branch of `signature`, entries ≤ zero counting as 0."""
     M = [list(map(float, row)) for row in M]  # a float Q may hold exact zeros
     flat = [x for row in M for x in row]
     # a sum is finite only if every entry is; one that overflows is rechecked
     if not math.isfinite(sum(flat)) and not all(map(math.isfinite, flat)):
         raise ValueError("signature of a form with a non-finite entry")
-    zero = tol * max(1.0, max(flat), -min(flat))
     pos = neg = 0
     while M:
         diag = [abs(row[k]) for k, row in enumerate(M)]
@@ -243,9 +244,8 @@ def char_pencil(omega, s, X):
     return CubicPencil(c3, c2, c1, c0)
 
 
-def in_sp3(K, s, tol=0):
+def in_sp3(K, s):
     """True iff Ω(KX, Y) + Ω(X, KY) = 0 for all X, Y, i.e. Kᵀ A + A K = 0:
     as A is antisymmetric, iff M = KᵀA is symmetric."""
     M = _kt_a(K, s.matrix)
-    res = max(abs(M[i][j] - M[j][i]) for i in range(DIM) for j in range(i + 1, DIM))
-    return res <= tol
+    return all(M[i][j] == M[j][i] for i in range(DIM) for j in range(i + 1, DIM))

@@ -22,6 +22,7 @@ from .exterior import (
     dim_grade,
     interior_bivector,
     wedge,
+    zero_tol,
 )
 
 
@@ -162,7 +163,6 @@ def bot(s, omega):
     return interior_bivector(s.x_omega, omega)
 
 
-EFFECTIVE_TOL = 1e-9  # of |⊥ω| per 1 + |ω|, as ⊥ is linear in ω
 # the field checks' defaults (and the CLI's): finite-difference step, residual
 # tolerance, and the tolerance on the curvature of the q-metric
 DEFAULT_H = 1e-4
@@ -170,27 +170,18 @@ DEFAULT_TOL = 1e-6
 CURVATURE_TOL = 1e-5
 
 
-def effective_tol(omega):
-    """The tolerance of the one effectiveness rule: EFFECTIVE_TOL·(1 + |ω|)
-    for a form with a float coefficient, and 0, ⊥ω = 0 exactly, for
-    rational and symbolic forms."""
-    if any(isinstance(c, float) for c in omega.coeffs):
-        return EFFECTIVE_TOL * (1 + omega.max_abs())
-    return 0
-
-
 def is_effective(s, omega, tol=0):
-    """True iff ⊥ω = 0 (by the rule of `effective_tol` for a float form);
-    for grade 3 this coincides with ω ∧ Ω = 0.  With tol, |⊥ω| ≤ tol
-    instead.  On a rational space and a rational ω, ⊥ω is zero iff the int
-    numerators of its table at X_Ω's stored ints are, and no Fraction is
-    made."""
+    """True iff ⊥ω = 0, for a float form by the zero rule |⊥ω| ≤ ε₁·|ω| of
+    `zero_tol`; for grade 3 this coincides with ω ∧ Ω = 0.  With tol,
+    |⊥ω| ≤ tol instead.  On a rational space and a rational ω, ⊥ω is zero
+    iff the int numerators of its table at X_Ω's stored ints are, and no
+    Fraction is made."""
     if omega.grade < 2:
         return True
     if not tol and s.x_omega_ints is not None and _all_rational(omega.coeffs):
         return not any(_bot_table(omega.grade).int_sums(s.x_omega_ints,
                                                         _cleared(omega.coeffs)[1]))
-    tol = tol or effective_tol(omega)
+    tol = tol or zero_tol(omega, 1)
     if tol:
         return bot(s, omega).max_abs() <= tol
     return bot(s, omega).is_zero()

@@ -24,15 +24,15 @@ from ma6.classify import (
     table1_form,
 )
 from ma6.documents import parse_form
-from ma6.exterior import ExactComplex, KForm, QuadraticTable, _bot_table, _im, wedge
+from ma6.exterior import ZERO_EPS, ExactComplex, KForm, QuadraticTable, _bot_table, _im, wedge
 from ma6.hitchin import (
-    LAMBDA_ZERO_TOL,
     DegenerateFormError,
     ExactnessError,
     SplitPair,
     _dual,
     _lambda_of_k,
     _split,
+    dual_form,
     hitchin_k,
     k_squared,
     pfaffian,
@@ -439,7 +439,7 @@ def test_lambda_is_quartic(space, other_space, negative_space, row, p, shears, t
 def test_one_effectiveness_rule_for_float_forms(space):
     """Table rows moved by float symplectic shears have a ⊥ω of rounding
     size: classify, build_gcy, q_form and q_matrices all take them as
-    effective, by the one rule |⊥ω| ≤ EFFECTIVE_TOL·(1 + |ω|), and a form
+    effective, by the zero rule of ⊥ω, |⊥ω| ≤ ε₁·|ω|, and a form
     moved off by 10⁻⁶ in a non-effective direction is refused by all four."""
     rng = random.Random(3)
     rows = [1 + i % 9 for i in range(50)]
@@ -488,7 +488,7 @@ CMP53 = {"123": "-770", "124": "-2", "125": "1", "126": "-767/2", "134": "-253",
 
 def test_float_classify_and_split_large_form(space):
     """In floats the cmp:53 form is SpecialLagrangianHyperbolic and splits:
-    the λ = 0 bound LAMBDA_ZERO_TOL·771⁴ ≈ 0.35 lies far below |λ| = 256
+    the λ = 0 bound ε₄·770⁴ ≈ 0.35 lies far below |λ| = 256
     (a bound of 1e-9·771⁴ ≈ 353 read it as 0 and exited 4)."""
     omega = parse_form({"version": 1, "scalar": "exact", "grade": 3,
                         "coefficients": CMP53})
@@ -502,18 +502,37 @@ def test_float_classify_and_split_large_form(space):
 
 
 def test_lambda_zero_rule_margin(space):
-    """The float λ of exact forms converted to floats is within
-    LAMBDA_ZERO_TOL·(1 + |ω|)⁴ / 10³ of the exact λ: table rows 1–9 moved by
-    six random transvections, |ω| up to 4·10⁵."""
+    """The float λ of exact forms converted to floats is within ε₄·|ω|⁴/10³
+    of the exact λ: table rows 1–8 moved by six random transvections, |ω|
+    up to 4·10⁵ (row 9, ω = 0, has λ = 0 exactly)."""
     rng = random.Random(6)
     worst = 0
     for n in range(90):
         row, p = n % 9 + 1, Fraction(rng.randint(1, 4), rng.randint(1, 3))
         omega = table1_form(row, p).pullback(random_symplectic(rng))
+        if row == 9:
+            continue
         f = KForm(3, [float(c) for c in omega.coeffs])
         err = abs(pfaffian(f, space) - float(expected_lambda(row, p)))
-        worst = max(worst, err / (1 + f.max_abs()) ** 4)
-    assert worst * 10 ** 3 <= LAMBDA_ZERO_TOL
+        worst = max(worst, err / f.max_abs() ** 4)
+    assert worst * 10 ** 3 <= ZERO_EPS[4]
+
+
+@settings(max_examples=200, deadline=None)
+@given(row=_orbit_rows, p=_row_params, shears=_small_shears, k=st.integers(-20, 30))
+def test_float_results_are_scale_invariant(space, row, p, shears, k):
+    """Table rows moved by exact shears, in floats and scaled by c = 10^k:
+    float classify gives the exact class, and rows 1–3 split with
+    |α + β − cω| ≤ 1e-9·|cω| and build their structure, as every zero test
+    scales as its invariant (λ(cω) = c⁴λ(ω), q_{cω} = c²q_ω)."""
+    moved = table1_form(row, p).pullback(symplectic_shears(space.matrix, shears))
+    f = KForm(3, [float(c) * 10.0 ** k for c in moved.coeffs])
+    assert classify(f, space)[0] == TABLE1_CLASSES[row]
+    if row <= 3:
+        sp = split_pair(f, space)
+        assert (sp.alpha + sp.beta - f).max_abs() <= 1e-9 * f.max_abs()
+        dual_form(f, space)
+        build_gcy(f, space)
 
 
 TABLE1_PARAMS = (1, Fraction(3, 2), 2, 0, Fraction(-1, 3), 1.5, 0.0, -2.0)

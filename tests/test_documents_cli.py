@@ -436,6 +436,55 @@ def test_cli_classify_near_boundary_exit4():
     assert out == ""
 
 
+# orbit_form(random.Random("scale:i"), row) of perfbench/workloads.py, for
+# (row, i) = (1, 6), (2, 6) and (8, 0): table rows moved by two exact shears
+ROW1_FORM = {"123": "45/4", "124": "1", "125": "-5/2", "126": "17/2", "134": "-5/2",
+             "135": "9/2", "136": "5/2", "146": "2", "156": "-4", "234": "-6",
+             "235": "5/2", "236": "1", "245": "-1", "246": "5", "256": "-2", "345": "2",
+             "346": "1", "456": "2"}
+ROW2_FORM = {"123": "-229/16", "124": "-15/4", "125": "21/16", "126": "-91/16",
+             "134": "9/8", "135": "-113/16", "136": "-21/16", "145": "-13/8",
+             "146": "-5/8", "156": "13/4", "234": "23/2", "235": "-9/8", "236": "-15/4",
+             "245": "1", "246": "-13/2", "256": "5/8", "345": "-21/4", "346": "-1",
+             "356": "-13/8", "456": "-13/4"}
+ROW8_FORM = {"123": "-23/2", "124": "-4", "125": "1", "126": "-7/4", "134": "1",
+             "135": "-6", "136": "-1", "145": "-2", "146": "-1/2", "156": "1", "234": "4",
+             "235": "-1", "236": "-4", "246": "-2", "256": "1/2", "345": "-2",
+             "356": "-2", "456": "-1"}
+
+
+def scaled_float_doc(coefficients, c):
+    """The float document of an exact form's coefficients times c."""
+    form = parse_form({"version": 1, "scalar": "exact", "grade": 3,
+                       "coefficients": coefficients})
+    return form_doc(KForm(3, [float(x) * c for x in form.coeffs]))
+
+
+@pytest.mark.parametrize("coefficients, c, cls", [
+    (ROW2_FORM, 1e-4, "SpecialLagrangianElliptic"),
+    (ROW8_FORM, 1e11, "SecondDerivative"),
+], ids=["row2-small", "row8-large"])
+def test_cli_classify_float_scaled_orbit_form(coefficients, c, cls):
+    """An orbit form scaled by c keeps its class in floats: λ and q_ω are
+    zero by rules that scale as they do.  With floors at |ω| = 1, row 2 at
+    10⁻⁴ read as Laplace, and row 8 at 10¹¹ as rank 1 or 2."""
+    code, out = run_cli(["classify", "--scalar", "float"],
+                        stdin_text=scaled_float_doc(coefficients, c))
+    assert code == 0
+    assert json.loads(out)["class"] == cls
+
+
+def test_cli_split_float_small_hyperbolic_form():
+    """A row-1 orbit form at 10⁻⁴ has λ ≈ 10⁻¹⁶ ≠ 0 and splits, where a λ
+    rule floored at |ω| = 1 read it as degenerate and exited 4."""
+    code, out = run_cli(["split", "--scalar", "float"],
+                        stdin_text=scaled_float_doc(ROW1_FORM, 1e-4))
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["branch"] == "hyperbolic"
+    assert "structure" in rep
+
+
 def test_cli_non_finite_coefficient_exit2():
     for bad in (float("nan"), float("inf")):
         doc = json.dumps({"version": 1, "scalar": "float", "grade": 3,
@@ -848,6 +897,33 @@ def test_cli_check_structure_degenerate_stencil_point_exit4():
     assert proc.returncode == 4
     assert "Traceback" not in proc.stderr
     assert "|λ| below threshold at (0.0, 0.0001" in proc.stderr
+
+
+def constant_field_doc(coefficient):
+    return json.dumps({"version": 1, "scalar": "exact", "grade": 3, "coefficients": {
+        "123": {"0,0,0,0,0,0": coefficient}, "456": {"0,0,0,0,0,0": coefficient}}})
+
+
+def test_cli_check_structure_small_constant_field_passes():
+    """(1/100)·(dq123 + dp123) has λ = 10⁻⁸ and |ω| = 10⁻²: the degeneracy
+    guard 1e-8·|ω|⁴ scales with λ, so it passes as it does at scale 1."""
+    proc = run_cli_process(["check-structure", "--input", "-", "--samples", "2"],
+                           constant_field_doc("1/100"))
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["closedness"]["passed"] and rep["integrability"]["passed"]
+    assert rep["flatness_of_metric"]["passed"]
+
+
+def test_cli_check_structure_zero_field_exit4():
+    """The zero field is degenerate at every point: exit 4 with a message,
+    not a division by zero."""
+    proc = run_cli_process(["check-structure", "--input", "-", "--samples", "2"],
+                           constant_field_doc("0"))
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    assert "|λ| below threshold at (" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_cli_split_builds_k_twice(monkeypatch):

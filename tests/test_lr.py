@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ma6.exterior import KForm, interior_vector, wedge
+from ma6.exterior import ZERO_EPS, KForm, interior_vector, wedge
 from ma6.hitchin import _k_table, hitchin_k
 import ma6.lr
 from ma6.classify import table1_form
@@ -67,7 +67,7 @@ def test_q_form_matches_definition(space, other_space, rng):
         assert [list(row) for row in q_form(omega, s).matrix] == ref
         f = KForm(3, [float(c) for c in omega.coeffs])
         scale = 1 + f.max_abs()
-        Qf = q_form(f, s, tol=1e-9 * scale)
+        Qf = q_form(f, s)
         for row, ref_row in zip(Qf.matrix, ref):
             for e, r in zip(row, ref_row):
                 assert isinstance(e, float)
@@ -111,22 +111,22 @@ def test_q_matrices_match_q_form(space, other_space, rng):
         batch = q_matrices([f.coeffs for f in forms], s)
         assert batch.shape == (100, 6, 6)
         for f, Q in zip(forms, batch):
-            ref = q_form(f, s, tol=1e-9 * (1 + f.max_abs())).matrix
+            ref = q_form(f, s).matrix
             assert np.abs(Q - np.array(ref)).max() <= 1e-12 * (1 + f.max_abs()) ** 2
 
 
 def test_q_matrices_guard_matches_q_form(space, other_space, rng):
     """Off an effective form by a non-effective direction scaled to k times
-    the guard's tolerance, the batched guard raises exactly where q_form's
-    does, one form at a time and anywhere in a batch."""
+    the guard's tolerance ε₁·|ω|, the batched guard raises exactly where
+    q_form's does, one form at a time and anywhere in a batch."""
     for s in (space, other_space):
         omega = KForm(3, [float(c) for c in rand_effective(rng, s).coeffs])
         n = KForm.basis(1, 2, 4, scale=1.0)
-        tol = 1e-9 * (1 + omega.max_abs())
+        tol = ZERO_EPS[1] * omega.max_abs()
         for k in (0.5, 0.9, 1.1, 2.0, 1e6):
             f = omega + n * (k * tol / bot(s, n).max_abs())
             try:
-                q_form(f, s, tol=1e-9 * (1 + f.max_abs()))
+                q_form(f, s)
                 raised = False
             except EffectivenessError:
                 raised = True
@@ -216,6 +216,12 @@ def test_signature_matches_fraction_elimination(Q):
     assert signature(Q) == reference_signature(Q)
 
 
+def relative_zero(Q):
+    """The threshold the float signature tests were written against,
+    1e-9·max(1, max|Q_ij|): these Q stand alone, with no form to scale by."""
+    return 1e-9 * max(1.0, max(abs(x) for row in Q.matrix for x in row))
+
+
 def eigvalsh_signature(Q, tol=1e-9):
     """The eigenvalue rule for float inertia: signs of the eigenvalues
     beyond tol·max(1, max|eigenvalue|)."""
@@ -248,7 +254,7 @@ def test_float_signature_matches_eigenvalues(Q):
     """The float elimination reads the inertia the eigenvalues give, with
     zero eigenvalues blurred by rounding and nonzero ones down to 10⁻⁶ of
     the largest."""
-    assert signature(Q) == eigvalsh_signature(Q)
+    assert signature(Q, relative_zero(Q)) == eigvalsh_signature(Q)
 
 
 def test_float_signature_sheared_table_rows(space):
@@ -258,7 +264,7 @@ def test_float_signature_sheared_table_rows(space):
     for row in range(1, 10):
         for _ in range(5):
             Q = q_form(sheared_float_form(table1_form(row), rng), space)
-            assert signature(Q) == eigvalsh_signature(Q), row
+            assert signature(Q, relative_zero(Q)) == eigvalsh_signature(Q), row
 
 
 def test_float_signature_near_boundary_probe(space):
@@ -267,7 +273,7 @@ def test_float_signature_near_boundary_probe(space):
     omega = (KForm.basis(2, 3, 4, scale=1 + 1e-5) + KForm.basis(1, 3, 5, scale=-1e-5)
              + KForm.basis(1, 2, 6, scale=1e-5))
     Q = q_form(omega, space)
-    assert signature(Q) == eigvalsh_signature(Q) == Signature(0, 2, 4)
+    assert signature(Q, relative_zero(Q)) == eigvalsh_signature(Q) == Signature(0, 2, 4)
 
 
 @pytest.mark.parametrize("delta", [1.1e-9, 1.5e-9, 3e-9, 1e-8])
@@ -283,7 +289,7 @@ def test_float_signature_small_diagonal_pivot(delta, c):
     M[0][1] = M[1][0] = 1.0
     M[0][2] = M[2][0] = c
     Q = QuadForm6(tuple(map(tuple, M)))
-    assert signature(Q) == eigvalsh_signature(Q) == Signature(1, 1, 4)
+    assert signature(Q, relative_zero(Q)) == eigvalsh_signature(Q) == Signature(1, 1, 4)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
